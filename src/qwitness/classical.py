@@ -1,11 +1,10 @@
 """Exhaustive classical baselines for full-correlation polynomials.
 
 Everything here is exact integer combinatorics: strategies and coefficients
-are +/-1, so bounds carry no float noise.  Enumeration spaces can be split
-into a fixed number of contiguous partitions; each partition reports its
-first-found local maximizer and the merge keeps the globally first one in
-lexicographic strategy order, so results never depend on the partition
-count.
+are +/-1, so bounds carry no float noise.  Each bound reports the first
+maximizer in lexicographic strategy order, and its argmax is re-evaluated
+by the word-by-word oracle (evaluate_strategy, evaluate_hybrid) on every
+call.
 
 Strategy encodings (lexicographic order = ascending index):
 
@@ -15,25 +14,37 @@ Strategy encodings (lexicographic order = ascending index):
 * hybrid: group A always contains party 0; a response function with index f
   maps the group setting word u to 1 - 2*((f >> u) & 1).  Group setting
   words list member parties in ascending order, first member most
-  significant.
+  significant.  Bipartitions are ordered by ascending mask (bit p set =
+  party p in group A), then f_a, then f_b.
+
+How the maxima are found:
+
+* lhv_bound contracts the coefficient tensor with the 4 x 2 digit -> outcome
+  table of every party (ineq.correlation_sum).  That yields all 4^N
+  strategy values in index order at O(N 4^N) cost, and np.argmax returns
+  the first maximizer.
+* hybrid_bound, per bipartition with coefficient matrix C (rows: group A
+  words, columns: group B words), enumerates the responses of the smaller
+  group only.  Against a fixed response r the other group's best reply
+  scores ||C^T r||_1 (or ||C r||_1), and its smallest index puts a -1
+  exactly where that product is negative.  When group B is the enumerated
+  side the tie-break still takes the smallest f_a first, then the smallest
+  f_b.  ``evaluations`` counts the 2^(2^|A|) * 2^(2^|B|) response pairs
+  the maximum ranges over.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .ineq import SignPattern
+from .ineq import SignPattern, correlation_sum
+from .opalg import CapExceededError
 from .qobs import Grouping
 
 LHV_MAX_PARTIES = 8
 HYBRID_MAX_PARTIES = 5
-
-
-class CapExceededError(ValueError):
-    """Enumeration space too large for exhaustive search."""
 
 
 @dataclass(frozen=True)
@@ -91,26 +102,6 @@ class BoundResult:
         }
 
 
-def _partition_ranges(total: int, n_partitions: int) -> list[tuple[int, int]]:
-    if n_partitions < 1:
-        raise ValueError("need at least one partition")
-    base, extra = divmod(total, n_partitions)
-    ranges = []
-    lo = 0
-    for i in range(n_partitions):
-        hi = lo + base + (1 if i < extra else 0)
-        ranges.append((lo, hi))
-        lo = hi
-    return ranges
-
-
-def _run_jobs(jobs, n_partitions: int) -> list:
-    if n_partitions > 1 and len(jobs) > 1:
-        with ThreadPoolExecutor(max_workers=min(n_partitions, len(jobs))) as pool:
-            return list(pool.map(lambda job: job(), jobs))
-    return [job() for job in jobs]
-
-
 def _decode_strategy(n: int, index: int) -> DeterministicStrategy:
     outcomes = []
     for p in range(n):
@@ -131,25 +122,11 @@ def evaluate_strategy(pattern: SignPattern, strategy: DeterministicStrategy) -> 
     return total
 
 
-def _lhv_chunk(coeffs: np.ndarray, n: int, lo: int, hi: int) -> tuple[int, int]:
-    """Best (value, strategy index) over a contiguous strategy range."""
-    idx = np.arange(lo, hi, dtype=np.int64)
-    outs = np.empty((n, 2, idx.size), dtype=np.int64)
-    for p in range(n):
-        d = (idx >> (2 * (n - 1 - p))) & 3
-        outs[p, 0] = 1 - 2 * ((d >> 1) & 1)
-        outs[p, 1] = 1 - 2 * (d & 1)
-    values = np.zeros(idx.size, dtype=np.int64)
-    for word in range(2**n):
-        term = np.full(idx.size, coeffs[word], dtype=np.int64)
-        for p in range(n):
-            term = term * outs[p, (word >> (n - 1 - p)) & 1]
-        values += term
-    k = int(np.argmax(values))
-    return int(values[k]), lo + k
+# Outcomes of a party digit d (rows) for settings 0 and 1 (columns).
+_DIGIT_OUTCOMES = np.array([[1, 1], [1, -1], [-1, 1], [-1, -1]], dtype=np.int64)
 
 
-def lhv_bound(pattern: SignPattern, n_partitions: int = 1) -> BoundResult:
+def lhv_bound(pattern: SignPattern) -> BoundResult:
     """Maximum over all 4^N deterministic local strategies."""
     n = pattern.n_parties
     if n > LHV_MAX_PARTIES:
@@ -157,19 +134,15 @@ def lhv_bound(pattern: SignPattern, n_partitions: int = 1) -> BoundResult:
             f"local enumeration is capped at N = {LHV_MAX_PARTIES} "
             f"(4^N strategies); group parties and use hybrid_bound, or sample"
         )
-    total = 4**n
     coeffs = np.asarray(pattern.coeffs, dtype=np.int64)
-    ranges = [(lo, hi) for lo, hi in _partition_ranges(total, n_partitions) if hi > lo]
-    jobs = [lambda lo=lo, hi=hi: _lhv_chunk(coeffs, n, lo, hi) for lo, hi in ranges]
-    best_val, best_idx = None, None
-    for val, idx in _run_jobs(jobs, n_partitions):
-        if best_val is None or val > best_val:
-            best_val, best_idx = val, idx
+    values = correlation_sum(coeffs, [_DIGIT_OUTCOMES.T] * n).reshape(-1)
+    best_idx = int(np.argmax(values))
+    best_val = int(values[best_idx])
     strategy = _decode_strategy(n, best_idx)
     check = evaluate_strategy(pattern, strategy)
     if check != best_val:  # pragma: no cover - internal consistency
         raise RuntimeError(f"argmax re-evaluation {check} != bound {best_val}")
-    return BoundResult(bound=best_val, argmax_strategy=strategy, evaluations=total)
+    return BoundResult(bound=best_val, argmax_strategy=strategy, evaluations=4**n)
 
 
 def _group_word(word: int, members: tuple[int, ...], n: int) -> int:
@@ -186,24 +159,35 @@ def _response_matrix(m: int) -> np.ndarray:
     return 1 - 2 * ((f >> u) & 1)
 
 
-def _hybrid_mask_job(
-    coeffs: np.ndarray, n: int, mask: int
-) -> tuple[int, int, int, int]:
-    """Best (value, f_a, f_b, evaluations) for one bipartition mask."""
+def _best_replies(products: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of ``products``, the best reply's value and its smallest index.
+
+    Row k holds the correlation matrix contracted with one response of the
+    enumerated group; the other group scores sum_u products[k, u] * r(u),
+    maximized at ||products[k]||_1.  The smallest maximizing index sets the
+    -1 bit exactly where the product is negative.
+    """
+    values = np.abs(products).sum(axis=1)
+    bits = np.int64(1) << np.arange(products.shape[1], dtype=np.int64)
+    replies = ((products < 0) * bits).sum(axis=1)
+    return values, replies
+
+
+def _hybrid_mask_best(tensor: np.ndarray, n: int, mask: int) -> tuple[int, int, int]:
+    """First maximizer (value, f_a, f_b) for one bipartition mask."""
     members_a = tuple(p for p in range(n) if (mask >> p) & 1)
     members_b = tuple(p for p in range(n) if not (mask >> p) & 1)
     ma, mb = len(members_a), len(members_b)
-    corr = np.zeros((2**ma, 2**mb), dtype=np.int64)
-    for word in range(2**n):
-        corr[_group_word(word, members_a, n), _group_word(word, members_b, n)] = coeffs[
-            word
-        ]
-    ra = _response_matrix(ma)
-    rb = _response_matrix(mb)
-    values = ra @ corr @ rb.T
-    flat = int(np.argmax(values))
-    fa, fb = divmod(flat, values.shape[1])
-    return int(values[fa, fb]), fa, fb, ra.shape[0] * rb.shape[0]
+    corr = tensor.transpose(members_a + members_b).reshape(2**ma, 2**mb)
+    if ma <= mb:
+        values, replies = _best_replies(_response_matrix(ma) @ corr)
+        fa = int(np.argmax(values))
+        return int(values[fa]), fa, int(replies[fa])
+    values, replies = _best_replies(_response_matrix(mb) @ corr.T)
+    tied = np.flatnonzero(values == values.max())
+    # Smallest f_a first, then the smallest f_b reaching it.
+    fb = int(tied[np.argmin(replies[tied])])
+    return int(values[fb]), int(replies[fb]), fb
 
 
 def evaluate_hybrid(pattern: SignPattern, strategy: HybridStrategy) -> int:
@@ -217,7 +201,7 @@ def evaluate_hybrid(pattern: SignPattern, strategy: HybridStrategy) -> int:
     return total
 
 
-def hybrid_bound(pattern: SignPattern, n_partitions: int = 1) -> BoundResult:
+def hybrid_bound(pattern: SignPattern) -> BoundResult:
     """Maximum over all bipartitions and deterministic group responses.
 
     Inside each group the response may depend on the group's full joint
@@ -230,27 +214,17 @@ def hybrid_bound(pattern: SignPattern, n_partitions: int = 1) -> BoundResult:
             f"hybrid enumeration is capped at N = {HYBRID_MAX_PARTIES} "
             f"(2^(2^m) response functions per group)"
         )
-    coeffs = np.asarray(pattern.coeffs, dtype=np.int64)
-    masks = [m for m in range(1, 2**n - 1) if m & 1]
-    slices = [
-        masks[lo:hi]
-        for lo, hi in _partition_ranges(len(masks), min(n_partitions, len(masks)))
-    ]
-
-    def run_slice(mask_slice):
-        return [(mask, _hybrid_mask_job(coeffs, n, mask)) for mask in mask_slice]
-
-    jobs = [lambda s=s: run_slice(s) for s in slices if s]
-    best = None  # (value, mask_rank, fa, fb, mask)
+    tensor = np.asarray(pattern.coeffs, dtype=np.int64).reshape((2,) * n)
+    best = None  # (value, mask, fa, fb)
     evaluations = 0
-    rank = {mask: i for i, mask in enumerate(masks)}
-    for chunk in _run_jobs(jobs, n_partitions):
-        for mask, (val, fa, fb, count) in chunk:
-            evaluations += count
-            key = (val, -rank[mask], -fa, -fb)
-            if best is None or key > best[0]:
-                best = (key, mask, fa, fb, val)
-    _, mask, fa, fb, val = best
+    # Odd masks put party 0 in group A; ascending order is the tie-break.
+    for mask in range(1, 2**n - 1, 2):
+        ma = mask.bit_count()
+        evaluations += 2 ** (2**ma) * 2 ** (2 ** (n - ma))
+        val, fa, fb = _hybrid_mask_best(tensor, n, mask)
+        if best is None or val > best[0]:
+            best = (val, mask, fa, fb)
+    val, mask, fa, fb = best
     members_a = tuple(p for p in range(n) if (mask >> p) & 1)
     members_b = tuple(p for p in range(n) if not (mask >> p) & 1)
     strategy = HybridStrategy(

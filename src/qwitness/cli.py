@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 import time
 
@@ -24,6 +23,7 @@ import numpy as np
 from . import __version__
 from .classical import CapExceededError, hybrid_bound, lhv_bound, noncontextual_bound
 from .ineq import (
+    CYCLE_PSD_TOL,
     CertificationError,
     chsh_element,
     chsh_optimal_settings,
@@ -35,6 +35,7 @@ from .ineq import (
 )
 from .opalg import (
     anticommutator,
+    check_eig_dim,
     commutator,
     frob_distance,
     frob_norm,
@@ -51,7 +52,12 @@ from .qobs import (
     noisy_mixture,
     product_state,
 )
-from .witness import WitnessIdentityError, evaluate_witness, witness_pair
+from .witness import (
+    ELEMENT_RESIDUAL_TOL,
+    WitnessIdentityError,
+    evaluate_witness,
+    witness_pair,
+)
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 2
@@ -59,8 +65,6 @@ EXIT_INVALID_CONFIG = 3
 EXIT_CAP_EXCEEDED = 4
 
 EXACT_IDENTITY_TOL = 1e-12
-ELEMENT_IDENTITY_TOL = 1e-11  # scaled by dimension
-CYCLE_PSD_TOL = 1e-9
 
 CHSH_COMBINATION_NOTE = (
     "correlation combination A1B1 + A1B2 + A2B1 - A2B2, the form forced by "
@@ -169,23 +173,13 @@ def _build_state(cfg: dict, n_parties: int) -> tuple[np.ndarray, str]:
     raise ConfigError(f"unknown state tag {tag!r}")
 
 
-def _workers() -> int:
-    raw = os.environ.get("QWITNESS_THREADS", "0")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ConfigError(f"QWITNESS_THREADS must be an integer, got {raw!r}")
-    if n < 0:
-        raise ConfigError("QWITNESS_THREADS must be nonnegative")
-    return n if n > 0 else (os.cpu_count() or 1)
-
-
 def cmd_verify(cfg: dict) -> tuple[dict, int]:
     """Run all operator-identity checks applicable to the party count."""
     n = cfg["n_parties"]
     if n < 2:
         raise ConfigError("verification needs at least two parties")
     dim = 2**n
+    check_eig_dim(dim)
     given = _settings_from_cfg(cfg, n)
     if given is not None:
         tables = [given]
@@ -241,7 +235,7 @@ def cmd_verify(cfg: dict) -> tuple[dict, int]:
                     update(
                         f"element_xi{e.index}",
                         frob_distance(q, target),
-                        ELEMENT_IDENTITY_TOL * dim,
+                        ELEMENT_RESIDUAL_TOL * dim,
                     )
                     witnesses.append(q)
                 total = witnesses[0]
@@ -249,7 +243,7 @@ def cmd_verify(cfg: dict) -> tuple[dict, int]:
                     total = total + q
                 svet = svetlichny_operator(table, pattern)
                 target = 4.0 * (2 ** (n - 1) * np.eye(dim) - svet.matrix)
-                update("total", frob_distance(total, target), ELEMENT_IDENTITY_TOL * dim)
+                update("total", frob_distance(total, target), ELEMENT_RESIDUAL_TOL * dim)
     except CertificationError as exc:
         failed_identity = {"name": "chsh_type_certification", "detail": str(exc)}
     except WitnessIdentityError as exc:
@@ -275,16 +269,15 @@ def cmd_bounds(cfg: dict) -> tuple[dict, int]:
     n = cfg["n_parties"]
     if n < 2:
         raise ConfigError("bounds need at least two parties")
-    workers = _workers()
     pattern = svetlichny_pattern(n)
-    results: dict = {"n_parties": n, "workers": workers}
+    results: dict = {"n_parties": n}
     try:
-        results["lhv"] = lhv_bound(pattern, n_partitions=workers).to_json_dict()
+        results["lhv"] = lhv_bound(pattern).to_json_dict()
     except CapExceededError as exc:
         results["error"] = str(exc)
         return results, EXIT_CAP_EXCEEDED
     if n <= 4:
-        results["hybrid"] = hybrid_bound(pattern, n_partitions=workers).to_json_dict()
+        results["hybrid"] = hybrid_bound(pattern).to_json_dict()
     else:
         results["hybrid"] = None
         results["hybrid_notice"] = (
@@ -310,6 +303,7 @@ def cmd_witness(cfg: dict) -> tuple[dict, int]:
     n = cfg["n_parties"]
     if n < 2:
         raise ConfigError("witness evaluation needs at least two parties")
+    check_eig_dim(2**n)
     rho, state_desc = _build_state(cfg, n)
     table = _settings_from_cfg(cfg, n)
     optimizer_payload = None
@@ -473,8 +467,10 @@ def _merge_config(args: argparse.Namespace) -> dict:
     cfg["command"] = args.command
     cfg.setdefault("n_parties", 3)
     cfg.setdefault("seed", 1)
-    if not isinstance(cfg["n_parties"], int):
-        raise ConfigError("n_parties must be an integer")
+    for key in ("n_parties", "seed"):
+        # bool is an int subclass, so true/false would pass a plain check.
+        if isinstance(cfg[key], bool) or not isinstance(cfg[key], int):
+            raise ConfigError(f"{key} must be an integer, got {cfg[key]!r}")
     return cfg
 
 

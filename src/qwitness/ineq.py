@@ -6,7 +6,9 @@ CHSH-type elements on an effective party pair.
 
 Setting words are read with party 0 as the most significant bit, so word
 indices follow binary counting: for N = 3 the word 011 means party 0 uses
-setting 0 and parties 1, 2 use setting 1.
+setting 0 and parties 1, 2 use setting 1.  correlation_sum evaluates any
+full-correlation sum over the setting words in this order; it builds the
+inequality operators here and the classical strategy values in classical.
 """
 
 from __future__ import annotations
@@ -100,16 +102,38 @@ def correlation_operator(settings: SettingsTable, word: int) -> np.ndarray:
     return out
 
 
-def _pattern_operator(settings: SettingsTable, pattern: SignPattern) -> np.ndarray:
-    if pattern.n_parties != settings.n_parties:
-        raise ValueError(
-            f"pattern is for {pattern.n_parties} parties, settings for {settings.n_parties}"
-        )
-    dim = 2**settings.n_parties
-    out = np.zeros((dim, dim), dtype=np.complex128)
-    for word, coeff in enumerate(pattern.coeffs):
-        out += coeff * correlation_operator(settings, word)
+def correlation_sum(coeffs, factors) -> np.ndarray:
+    """Full-correlation sum  sum_w c_w (x)_p F_p[w_p]  over all setting words.
+
+    ``coeffs`` holds one coefficient per N-bit setting word in binary
+    counting order (party 0 most significant); ``factors[p]`` is an array
+    of shape (2, *s_p) indexed first by party p's setting bit.  Returns the
+    tensor of shape (*s_0, ..., *s_{N-1}) whose entry [i_0, ..., i_{N-1}] is
+    sum_w c_w prod_p F_p[w_p, i_p].
+
+    The 2 x ... x 2 coefficient tensor is contracted with one party's factor
+    at a time, so the cost is O(N * size of the result) instead of 2^N
+    products of that size.
+    """
+    n = len(factors)
+    out = np.asarray(coeffs).reshape((2,) * n)
+    for factor in factors:
+        # Contracts the leading setting axis and appends the party's axes
+        # last, so after N steps the parties sit in order 0..N-1.
+        out = np.tensordot(out, factor, axes=(0, 0))
     return out
+
+
+def _pattern_operator(settings: SettingsTable, pattern: SignPattern) -> np.ndarray:
+    n = settings.n_parties
+    if pattern.n_parties != n:
+        raise ValueError(f"pattern is for {pattern.n_parties} parties, settings for {n}")
+    factors = [np.stack(pair) for pair in settings.observable_pairs()]
+    out = correlation_sum(np.asarray(pattern.coeffs, dtype=np.float64), factors)
+    # Axes come out as (row_0, col_0, ..., row_{N-1}, col_{N-1}); the kron
+    # layout puts every row index before every column index.
+    rows_then_cols = list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2))
+    return out.transpose(rows_then_cols).reshape(2**n, 2**n)
 
 
 def chsh_operator(settings: SettingsTable) -> InequalityOperator:

@@ -21,6 +21,16 @@ MAX_EIG_DIM = 256
 HERMITICITY_TOL = 1e-10
 
 
+class CapExceededError(ValueError):
+    """Problem too large for the exhaustive or dense path."""
+
+
+def check_eig_dim(dim: int) -> None:
+    """Refuse a matrix dimension above the eigensolver cap before any work."""
+    if dim > MAX_EIG_DIM:
+        raise CapExceededError(f"dimension {dim} exceeds eigensolver cap {MAX_EIG_DIM}")
+
+
 class ConvergenceError(RuntimeError):
     """Eigensolver could not certify its result; carries the residual."""
 
@@ -99,8 +109,7 @@ def hermitian_eigenvalues(h: np.ndarray) -> EigenResult:
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {h.shape}")
     n = h.shape[0]
-    if n > MAX_EIG_DIM:
-        raise ValueError(f"dimension {n} exceeds eigensolver cap {MAX_EIG_DIM}")
+    check_eig_dim(n)
     defect = hermiticity_defect(h)
     if defect > HERMITICITY_TOL * n:
         raise ValueError(f"matrix is not Hermitian: defect {defect:.3e}")

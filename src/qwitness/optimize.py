@@ -13,12 +13,13 @@ variant maximizes the expectation on a fixed density matrix instead.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .ineq import InequalityOperator, chsh_operator, svetlichny_operator
-from .opalg import hermitian_eigenvalues
+from .opalg import check_eig_dim, hermitian_eigenvalues
 from .qobs import (
     PAULI_X,
     PAULI_Y,
@@ -86,6 +87,10 @@ class OptimizationConfig:
     seed: int = 1
 
     def __post_init__(self):
+        for name in ("restarts", "max_iters", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.restarts < 1 or self.max_iters < 1:
             raise ValueError("restarts and max_iters must be positive")
         if not 0.0 < self.step_min < self.step_init:
@@ -265,6 +270,7 @@ def _validate_kind(n_parties: int, kind: str) -> None:
         raise ValueError("chsh optimization requires exactly two parties")
     if n_parties < 2:
         raise ValueError("optimization needs at least two parties")
+    check_eig_dim(2**n_parties)
 
 
 def _build_operator(n_parties: int, kind: str, settings: SettingsTable) -> InequalityOperator:
@@ -333,6 +339,7 @@ def violation_threshold(
         raise ValueError("threshold scans need at least three parties")
     if state_family != "noisy-ghz":
         raise ValueError(f"unsupported state family {state_family!r}")
+    check_eig_dim(2**n_parties)
     cfg = cfg or OptimizationConfig()
     base = ghz_state(n_parties)
     bound = 2.0 ** (n_parties - 1)

@@ -3,12 +3,19 @@ random compatible 4-cycles, and small brute-force oracles."""
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
 
+from qwitness.classical import (
+    BoundResult,
+    DeterministicStrategy,
+    HybridStrategy,
+    evaluate_strategy,
+)
 from qwitness.ineq import cycle_from_settings
-from qwitness.qobs import BlochVector, SettingsTable, random_settings
+from qwitness.qobs import BlochVector, Grouping, SettingsTable, random_settings
 
 SQRT2 = math.sqrt(2.0)
 
@@ -78,3 +85,57 @@ def eig2_closed_form(h: np.ndarray) -> tuple[float, float]:
 def random_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray:
     m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     return (m + m.conj().T) / 2.0
+
+
+def first_max_lhv(pattern) -> BoundResult:
+    """Walk all deterministic strategies in lexicographic order (party 0
+    first; per party the outcome pairs (1,1), (1,-1), (-1,1), (-1,-1)) and
+    keep the first strategy reaching the maximum."""
+    n = pattern.n_parties
+    best, count = None, 0
+    for outcomes in itertools.product(itertools.product((1, -1), repeat=2), repeat=n):
+        count += 1
+        strategy = DeterministicStrategy(outcomes)
+        value = evaluate_strategy(pattern, strategy)
+        if best is None or value > best[0]:
+            best = (value, strategy)
+    return BoundResult(bound=best[0], argmax_strategy=best[1], evaluations=count)
+
+
+def _responses(m: int):
+    """Response functions of an m-party group in index order, each as the
+    tuple of +/-1 answers to the group words 0..2^m - 1."""
+    return [
+        tuple(1 - 2 * ((f >> u) & 1) for u in range(2**m)) for f in range(2 ** (2**m))
+    ]
+
+
+def _group_word(word: int, members, n: int) -> int:
+    """The members' setting bits of an N-bit word, first member most significant."""
+    u = 0
+    for p in members:
+        u = 2 * u + ((word >> (n - 1 - p)) & 1)
+    return u
+
+
+def first_max_hybrid(pattern) -> BoundResult:
+    """Walk bipartitions (ascending mask, party 0 in group A), then f_a, then
+    f_b, and keep the first hybrid strategy reaching the maximum."""
+    n = pattern.n_parties
+    best, count = None, 0
+    for mask in range(1, 2**n - 1):
+        if not mask & 1:
+            continue
+        group_a = tuple(p for p in range(n) if (mask >> p) & 1)
+        group_b = tuple(p for p in range(n) if not (mask >> p) & 1)
+        terms = [
+            (c, _group_word(w, group_a, n), _group_word(w, group_b, n))
+            for w, c in enumerate(pattern.coeffs)
+        ]
+        for ra in _responses(len(group_a)):
+            for rb in _responses(len(group_b)):
+                count += 1
+                value = sum(c * ra[ua] * rb[ub] for c, ua, ub in terms)
+                if best is None or value > best[0]:
+                    best = (value, HybridStrategy(Grouping(group_a, group_b), ra, rb))
+    return BoundResult(bound=best[0], argmax_strategy=best[1], evaluations=count)

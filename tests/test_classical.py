@@ -1,11 +1,9 @@
-import itertools
-
 import numpy as np
 import pytest
 
+from conftest import first_max_hybrid, first_max_lhv
 from qwitness.classical import (
     CapExceededError,
-    DeterministicStrategy,
     evaluate_hybrid,
     evaluate_strategy,
     hybrid_bound,
@@ -17,18 +15,6 @@ from qwitness.ineq import SignPattern, chsh_pattern, svetlichny_pattern
 
 def random_pattern(n, rng):
     return SignPattern(n, tuple(int(c) for c in rng.choice([-1, 1], size=2**n)))
-
-
-def brute_lhv(pattern):
-    """Plain itertools enumeration, the definitional oracle."""
-    n = pattern.n_parties
-    best = None
-    for flat in itertools.product((1, -1), repeat=2 * n):
-        outcomes = tuple((flat[2 * p], flat[2 * p + 1]) for p in range(n))
-        val = evaluate_strategy(pattern, DeterministicStrategy(outcomes))
-        if best is None or val > best:
-            best = val
-    return best
 
 
 class TestLhvBound:
@@ -55,9 +41,9 @@ class TestLhvBound:
         rng = np.random.default_rng(60)
         for _ in range(10):
             pattern = random_pattern(3, rng)
-            assert lhv_bound(pattern).bound == brute_lhv(pattern)
-        assert lhv_bound(svetlichny_pattern(4)).bound == brute_lhv(svetlichny_pattern(4))
-        assert lhv_bound(svetlichny_pattern(5)).bound == brute_lhv(svetlichny_pattern(5))
+            assert lhv_bound(pattern).bound == first_max_lhv(pattern).bound
+        assert lhv_bound(svetlichny_pattern(4)).bound == first_max_lhv(svetlichny_pattern(4)).bound
+        assert lhv_bound(svetlichny_pattern(5)).bound == first_max_lhv(svetlichny_pattern(5)).bound
 
     def test_argmax_reevaluates_exactly(self):
         rng = np.random.default_rng(61)
@@ -133,28 +119,24 @@ class TestRelabelingSymmetry:
                     assert hybrid_bound(flipped).bound == hyb
 
 
-class TestPartitionSafety:
+class TestFirstMaximizer:
     @pytest.mark.parametrize("n", [3, 4])
-    def test_lhv_partitions_agree(self, n):
+    def test_lhv_matches_first_maximizer_oracle(self, n):
         pattern = svetlichny_pattern(n)
-        one = lhv_bound(pattern, n_partitions=1)
-        four = lhv_bound(pattern, n_partitions=4)
-        assert one == four
+        assert lhv_bound(pattern) == first_max_lhv(pattern)
 
     @pytest.mark.parametrize("n", [3, 4])
-    def test_hybrid_partitions_agree(self, n):
+    def test_hybrid_matches_first_maximizer_oracle(self, n):
         pattern = svetlichny_pattern(n)
-        one = hybrid_bound(pattern, n_partitions=1)
-        four = hybrid_bound(pattern, n_partitions=4)
-        assert one == four
+        assert hybrid_bound(pattern) == first_max_hybrid(pattern)
 
     def test_tie_break_is_first_found(self):
         # All-plus pattern: many strategies tie; the lexicographically first
-        # (all-plus outcomes, index 0) must win for any partition count.
+        # (all-plus outcomes, index 0) must win.
         pattern = SignPattern(2, (1, 1, 1, 1))
-        for parts in (1, 3, 4):
-            res = lhv_bound(pattern, n_partitions=parts)
-            assert res.argmax_strategy.outcomes == ((1, 1), (1, 1))
+        res = lhv_bound(pattern)
+        assert res.argmax_strategy.outcomes == ((1, 1), (1, 1))
+        assert res == first_max_lhv(pattern)
 
 
 class TestNoncontextualBound:

@@ -1,6 +1,8 @@
 import json
+import time
 
 import numpy as np
+import pytest
 
 from conftest import SQRT2, planar_settings
 
@@ -254,3 +256,52 @@ class TestReportContract:
         code, _, err = run_cli(capsys, ["witness", "--n", "4", "--state", "ghz", "--config", cfg])
         assert code == 3
         assert "parties" in err
+
+
+class TestEigensolverCap:
+    """Commands that need a 2^N eigensolve stop at once above the cap."""
+
+    @staticmethod
+    def exits_four_at_once(capsys, argv):
+        started = time.perf_counter()
+        code, report, err = run_cli(capsys, argv)
+        assert time.perf_counter() - started < 1.0
+        assert code == 4
+        assert report is None
+        assert "eigensolver cap" in err
+
+    def test_verify(self, capsys):
+        self.exits_four_at_once(capsys, ["verify", "--n", "9", "--random", "1"])
+
+    def test_witness(self, capsys):
+        self.exits_four_at_once(capsys, ["witness", "--n", "9", "--optimize"])
+
+    def test_optimize(self, capsys):
+        self.exits_four_at_once(capsys, ["optimize", "--n", "9"])
+
+
+class TestIntegerFields:
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"optimizer": {"restarts": 1.5}},
+            {"optimizer": {"max_iters": 10.0}},
+            {"optimizer": {"seed": True}},
+            {"optimizer": {"restarts": True}},
+            {"seed": 2.5},
+        ],
+    )
+    def test_optimizer_fields_rejected(self, capsys, tmp_path, payload):
+        cfg = write_config(tmp_path, payload)
+        code, report, err = run_cli(capsys, ["optimize", "--n", "2", "--config", cfg])
+        assert code == 3
+        assert report is None
+        assert "must be an integer" in err
+
+    @pytest.mark.parametrize("value", [True, 3.0, "3"])
+    def test_n_parties_rejected(self, capsys, tmp_path, value):
+        cfg = write_config(tmp_path, {"n_parties": value})
+        code, report, err = run_cli(capsys, ["bounds", "--config", cfg])
+        assert code == 3
+        assert report is None
+        assert "n_parties must be an integer" in err

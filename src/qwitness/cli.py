@@ -25,19 +25,14 @@ from .classical import CapExceededError, hybrid_bound, lhv_bound, noncontextual_
 from .ineq import (
     CYCLE_PSD_TOL,
     CertificationError,
-    chsh_element,
     chsh_optimal_settings,
     cycle_from_settings,
-    decompose_svetlichny,
-    noncontextual_cycle,
-    svetlichny_operator,
+    noncontextual_identities,
     svetlichny_pattern,
 )
 from .opalg import (
-    anticommutator,
     check_eig_dim,
     commutator,
-    frob_distance,
     frob_norm,
     hermitian_eigenvalues,
     hermiticity_defect,
@@ -56,7 +51,7 @@ from .witness import (
     ELEMENT_RESIDUAL_TOL,
     WitnessIdentityError,
     evaluate_witness,
-    witness_pair,
+    witness_identities,
 )
 
 EXIT_OK = 0
@@ -185,78 +180,41 @@ def cmd_verify(cfg: dict) -> tuple[dict, int]:
         tables = [given]
     elif cfg.get("random_trials"):
         rng = Lcg64(cfg["seed"])
-        tables = [rng.settings(n) for _ in range(int(cfg["random_trials"]))]
+        tables = [rng.settings(n) for _ in range(cfg["random_trials"])]
     else:
         raise ConfigError("verify needs a settings table or --random K")
 
     pattern = svetlichny_pattern(n)
     corrupt = cfg.get("corrupt_sign")
     if corrupt is not None:
-        if not 0 <= int(corrupt) < 2**n:
+        if not 0 <= corrupt < 2**n:
             raise ConfigError(f"corrupt-sign index {corrupt} out of range")
-        pattern = pattern.flipped(int(corrupt))
+        pattern = pattern.flipped(corrupt)
 
+    # The CHSH and cycle identities are exact; the Svetlichny ones carry
+    # roundoff that grows with the dimension.
+    tol = EXACT_IDENTITY_TOL if n == 2 else ELEMENT_RESIDUAL_TOL * dim
     residuals: dict[str, float] = {}
-    thresholds: dict[str, float] = {}
     failed_identity = None
-
-    def update(key: str, value: float, tol: float) -> None:
-        residuals[key] = max(residuals.get(key, 0.0), value)
-        thresholds[key] = tol
-
     try:
         for table in tables:
+            _, _, found = witness_identities(table, pattern)
             if n == 2:
-                element = chsh_element(table, pattern)
-                pair = witness_pair(element)
-                q = anticommutator(pair.x, pair.y)
-                target = 4.0 * (2.0 * np.eye(4) - element.operator())
-                update("chsh_4e", frob_distance(q, target), EXACT_IDENTITY_TOL)
-                a, b, c, d = cycle_from_settings(table)
-                x_op, y_op, ec = noncontextual_cycle(a, b, c, d)
-                xy_target = 2.0 * ec.matrix + commutator(b, d) + commutator(c, a)
-                update(
-                    "noncontextual_xy",
-                    frob_distance(x_op @ y_op, xy_target),
-                    EXACT_IDENTITY_TOL,
-                )
-                update(
-                    "noncontextual_4ec",
-                    frob_distance(anticommutator(x_op, y_op), 4.0 * ec.matrix),
-                    EXACT_IDENTITY_TOL,
-                )
-            else:
-                elements = decompose_svetlichny(table, pattern)
-                witnesses = []
-                for e in elements:
-                    pair = witness_pair(e)
-                    q = anticommutator(pair.x, pair.y)
-                    target = 4.0 * (2.0 * np.eye(dim) - e.operator())
-                    update(
-                        f"element_xi{e.index}",
-                        frob_distance(q, target),
-                        ELEMENT_RESIDUAL_TOL * dim,
-                    )
-                    witnesses.append(q)
-                total = witnesses[0]
-                for q in witnesses[1:]:
-                    total = total + q
-                svet = svetlichny_operator(table, pattern)
-                target = 4.0 * (2 ** (n - 1) * np.eye(dim) - svet.matrix)
-                update("total", frob_distance(total, target), ELEMENT_RESIDUAL_TOL * dim)
-    except CertificationError as exc:
-        failed_identity = {"name": "chsh_type_certification", "detail": str(exc)}
-    except WitnessIdentityError as exc:
-        failed_identity = {"name": "anticommutator_cancellation", "detail": str(exc)}
+                # At N = 2 the total is the one CHSH element; the cycle
+                # identities are checked in its place.
+                del found["total"]
+                found.update(noncontextual_identities(*cycle_from_settings(table))[3])
+            for key, value in found.items():
+                residuals[key] = max(residuals.get(key, 0.0), value)
+    except (CertificationError, WitnessIdentityError) as exc:
+        failed_identity = {"name": exc.identity, "detail": str(exc)}
 
-    passed = failed_identity is None and all(
-        residuals[k] <= thresholds[k] for k in residuals
-    )
+    passed = failed_identity is None and all(v <= tol for v in residuals.values())
     results = {
         "n_parties": n,
         "trials": len(tables),
         "residuals": residuals,
-        "thresholds": thresholds,
+        "thresholds": dict.fromkeys(residuals, tol),
         "passed": passed,
         "failed_identity": failed_identity,
         "notes": [CHSH_COMBINATION_NOTE],
@@ -350,7 +308,7 @@ def cmd_contextuality(cfg: dict) -> tuple[dict, int]:
         "DA": frob_norm(commutator(d, a)),
     }
     try:
-        x_op, y_op, ec = noncontextual_cycle(a, b, c, d)
+        x_op, y_op, ec, residuals = noncontextual_identities(a, b, c, d)
     except ValueError as exc:
         results = {
             "compatibility_norms": pair_norms,
@@ -359,12 +317,6 @@ def cmd_contextuality(cfg: dict) -> tuple[dict, int]:
         }
         return results, EXIT_CHECK_FAILED
 
-    residuals = {
-        "noncontextual_4ec": frob_distance(anticommutator(x_op, y_op), 4.0 * ec.matrix),
-        "noncontextual_xy": frob_distance(
-            x_op @ y_op, 2.0 * ec.matrix + commutator(b, d) + commutator(c, a)
-        ),
-    }
     min_eigs = {
         "X": float(hermitian_eigenvalues(x_op).values[0]),
         "Y": float(hermitian_eigenvalues(y_op).values[0]),
@@ -467,10 +419,12 @@ def _merge_config(args: argparse.Namespace) -> dict:
     cfg["command"] = args.command
     cfg.setdefault("n_parties", 3)
     cfg.setdefault("seed", 1)
-    for key in ("n_parties", "seed"):
+    for key in ("n_parties", "seed", "random_trials", "corrupt_sign"):
         # bool is an int subclass, so true/false would pass a plain check.
-        if isinstance(cfg[key], bool) or not isinstance(cfg[key], int):
+        if key in cfg and (isinstance(cfg[key], bool) or not isinstance(cfg[key], int)):
             raise ConfigError(f"{key} must be an integer, got {cfg[key]!r}")
+    if cfg.get("random_trials", 1) < 1:
+        raise ConfigError(f"random_trials must be at least 1, got {cfg['random_trials']}")
     return cfg
 
 
@@ -486,6 +440,10 @@ def main(argv=None) -> int:
     except CapExceededError as exc:
         print(f"qwitness: {exc}", file=sys.stderr)
         return EXIT_CAP_EXCEEDED
+    except (CertificationError, WitnessIdentityError) as exc:
+        # CertificationError is a ValueError, so this must precede exit 3.
+        print(f"qwitness: {exc.identity}: {exc}", file=sys.stderr)
+        return EXIT_CHECK_FAILED
     except ValueError as exc:
         print(f"qwitness: invalid config: {exc}", file=sys.stderr)
         return EXIT_INVALID_CONFIG
@@ -498,7 +456,6 @@ def main(argv=None) -> int:
         "wall_time_ms": int(round((time.perf_counter() - started) * 1000.0)),
     }
     text = canonical_json(report)
-    sys.stdout.write(text)
     out_path = cfg.get("output_path")
     if out_path:
         try:
@@ -507,6 +464,7 @@ def main(argv=None) -> int:
         except OSError as exc:
             print(f"qwitness: cannot write report: {exc}", file=sys.stderr)
             return EXIT_INVALID_CONFIG
+    sys.stdout.write(text)
     return code
 
 

@@ -14,11 +14,19 @@ inequality operators here and the classical strategy values in classical.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .opalg import commutator, frob_norm, is_psd, kron
+from .opalg import (
+    HERMITICITY_TOL,
+    anticommutator,
+    commutator,
+    frob_distance,
+    frob_norm,
+    is_psd,
+    kron,
+)
 from .qobs import IDENTITY_2, BlochVector, Grouping, SettingsTable
 
 COMPATIBILITY_TOL = 1e-10
@@ -27,6 +35,8 @@ CYCLE_PSD_TOL = 1e-9
 
 class CertificationError(ValueError):
     """A four-term group whose sign vector is not CHSH-type."""
+
+    identity = "chsh_type_certification"
 
 
 def svetlichny_sign(index: int) -> int:
@@ -92,14 +102,43 @@ class InequalityOperator:
     label: str
 
 
+@dataclass(frozen=True)
+class PartyFactors:
+    """Each party's two Hermitian 2x2 Kronecker factors, stacked as (party,
+    setting, 2, 2), and their spectral norms, computed once per table in one
+    batched call so that a term and its norm bound cannot disagree."""
+
+    observables: np.ndarray
+    norms: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        obs = np.asarray(self.observables, dtype=np.complex128)
+        # A norm bound on a spectrum holds only for Hermitian operators.
+        defect = frob_norm(obs - np.conj(np.swapaxes(obs, -1, -2)))
+        if defect > HERMITICITY_TOL * 2:
+            raise ValueError(f"factors are not Hermitian: defect {defect:.3e}")
+        object.__setattr__(self, "observables", obs)
+        object.__setattr__(self, "norms", np.linalg.norm(obs, 2, axis=(-2, -1)))
+
+    @classmethod
+    def from_settings(cls, settings: SettingsTable) -> "PartyFactors":
+        return cls(np.stack(settings.observable_pairs()))
+
+    def term(self, word: int) -> tuple[np.ndarray, float]:
+        """Kronecker product of the factors a setting word picks (party 0
+        leftmost) and its spectral norm, the product of theirs."""
+        n = len(self.observables)
+        out, norm = np.array([[1.0 + 0.0j]]), 1.0
+        for party in range(n):
+            bit = (word >> (n - 1 - party)) & 1
+            out = kron(out, self.observables[party, bit])
+            norm *= float(self.norms[party, bit])
+        return out, norm
+
+
 def correlation_operator(settings: SettingsTable, word: int) -> np.ndarray:
     """Tensor product of the chosen observables for one setting word."""
-    n = settings.n_parties
-    out = np.array([[1.0 + 0.0j]])
-    for party in range(n):
-        bit = (word >> (n - 1 - party)) & 1
-        out = kron(out, settings.observable(party, bit))
-    return out
+    return PartyFactors.from_settings(settings).term(word)[0]
 
 
 def correlation_sum(coeffs, factors) -> np.ndarray:
@@ -200,6 +239,22 @@ def noncontextual_cycle(
     return x_op, y_op, InequalityOperator(ec, 2.0, "noncontextual-cycle")
 
 
+def noncontextual_identities(
+    a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, InequalityOperator, dict[str, float]]:
+    """noncontextual_cycle plus the Frobenius residuals of its two identities,
+    ``noncontextual_xy`` (XY = 2Ec + [B,D] + [C,A]) and ``noncontextual_4ec``
+    ({X, Y} = 4Ec)."""
+    x_op, y_op, ec = noncontextual_cycle(a, b, c, d)
+    residuals = {
+        "noncontextual_xy": frob_distance(
+            x_op @ y_op, 2.0 * ec.matrix + commutator(b, d) + commutator(c, a)
+        ),
+        "noncontextual_4ec": frob_distance(anticommutator(x_op, y_op), 4.0 * ec.matrix),
+    }
+    return x_op, y_op, ec, residuals
+
+
 def cycle_from_settings(
     settings: SettingsTable,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -241,13 +296,23 @@ class ChshElement:
     parties keep the fixed setting bits recorded in ``fixed_choices``.
     Certified sign vectors always take the form (a, b, b, -a), i.e. one of
     the two CHSH patterns (+,+,+,-) and (+,-,-,-) up to overall sign.
+
+    ``terms`` and ``term_norms`` are built from ``factors`` at construction.
     """
 
     index: int
     grouping: Grouping
     fixed_choices: tuple[int, ...]
     signs: tuple[int, int, int, int]
-    terms: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+    factors: PartyFactors
+    words: tuple[int, int, int, int]
+    terms: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] = field(init=False)
+    term_norms: tuple[float, float, float, float] = field(init=False)
+
+    def __post_init__(self):
+        terms, norms = zip(*(self.factors.term(w) for w in self.words))
+        object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "term_norms", norms)
 
     @property
     def sign_variant(self) -> tuple[int, int]:
@@ -277,6 +342,26 @@ def _certify_chsh_type(index: int, signs: tuple[int, int, int, int]) -> None:
         )
 
 
+def _elements(settings: SettingsTable, pattern: SignPattern | None) -> list[ChshElement]:
+    n = settings.n_parties
+    if pattern is None:
+        pattern = svetlichny_pattern(n)
+    if pattern.n_parties != n:
+        raise ValueError(
+            f"pattern is for {pattern.n_parties} parties, settings for {n}"
+        )
+    grouping = Grouping(tuple(range(n - 1)), (n - 1,))
+    factors = PartyFactors.from_settings(settings)
+    elements = []
+    for prefix in range(2 ** (n - 2)):
+        words = tuple((prefix << 2) | (i << 1) | j for i in (0, 1) for j in (0, 1))
+        signs = tuple(pattern.coeffs[w] for w in words)
+        _certify_chsh_type(prefix, signs)
+        fixed = tuple((prefix >> (n - 3 - p)) & 1 for p in range(n - 2))
+        elements.append(ChshElement(prefix, grouping, fixed, signs, factors, words))
+    return elements
+
+
 def decompose_svetlichny(
     settings: SettingsTable, pattern: SignPattern | None = None
 ) -> list[ChshElement]:
@@ -288,40 +373,18 @@ def decompose_svetlichny(
     ever wrong; summing the element operators reconstructs the Svetlichny
     operator.
     """
-    n = settings.n_parties
-    if n < 3:
+    if settings.n_parties < 3:
         raise ValueError(
             "decomposition needs at least three parties; use chsh_element for N = 2"
         )
-    if pattern is None:
-        pattern = svetlichny_pattern(n)
-    if pattern.n_parties != n:
-        raise ValueError(
-            f"pattern is for {pattern.n_parties} parties, settings for {n}"
-        )
-    grouping = Grouping(tuple(range(n - 1)), (n - 1,))
-    elements = []
-    for prefix in range(2 ** (n - 2)):
-        words = [(prefix << 2) | (i << 1) | j for i in (0, 1) for j in (0, 1)]
-        signs = tuple(pattern.coeffs[w] for w in words)
-        _certify_chsh_type(prefix, signs)
-        terms = tuple(correlation_operator(settings, w) for w in words)
-        fixed = tuple((prefix >> (n - 3 - p)) & 1 for p in range(n - 2))
-        elements.append(ChshElement(prefix, grouping, fixed, signs, terms))
-    return elements
+    return _elements(settings, pattern)
 
 
 def chsh_element(
     settings: SettingsTable, pattern: SignPattern | None = None
 ) -> ChshElement:
-    """The CHSH combination packaged as a single element (two parties)."""
+    """The CHSH combination packaged as a single element (two parties): the
+    N = 2 case of the decomposition, with no fixed parties."""
     if settings.n_parties != 2:
         raise ValueError("chsh_element needs exactly two parties")
-    if pattern is None:
-        pattern = chsh_pattern()
-    if pattern.n_parties != 2:
-        raise ValueError("pattern must be two-party")
-    signs = tuple(pattern.coeffs)
-    _certify_chsh_type(0, signs)
-    terms = tuple(correlation_operator(settings, w) for w in range(4))
-    return ChshElement(0, Grouping((0,), (1,)), (), signs, terms)
+    return _elements(settings, pattern)[0]

@@ -19,13 +19,13 @@ import numpy as np
 
 from .ineq import (
     ChshElement,
+    InequalityOperator,
     SignPattern,
     chsh_element,
-    chsh_operator,
     decompose_svetlichny,
     svetlichny_operator,
 )
-from .opalg import anticommutator, frob_distance, is_psd
+from .opalg import anticommutator, frob_distance
 from .qobs import SettingsTable, expectation
 
 # Identity residual slack scales with dimension, like the hermiticity slack.
@@ -40,6 +40,8 @@ VALUE_CROSSCHECK_TOL = 1e-9
 class WitnessIdentityError(RuntimeError):
     """An anticommutator failed to reproduce its inequality target."""
 
+    identity = "anticommutator_cancellation"
+
 
 @dataclass(frozen=True)
 class WitnessPair:
@@ -50,22 +52,35 @@ class WitnessPair:
     sign_variant: tuple[int, int]
 
 
+def positivity_bounds(e: ChshElement) -> tuple[float, float]:
+    """Lower bounds on the smallest eigenvalues of the element's X and Y.
+
+    By Weyl's inequality lambda_min(2I - a(Q00 - Q11)) >= 2 - ||Q00|| - ||Q11||
+    (likewise Y with Q01, Q10), and each ||Q_w|| is a product of 2x2 factor
+    norms, so no 2^N eigensolve is needed.
+    """
+    n00, n01, n10, n11 = e.term_norms
+    return 2.0 - n00 - n11, 2.0 - n01 - n10
+
+
 def witness_pair(e: ChshElement) -> WitnessPair:
     """Build (X, Y) for a certified CHSH-type element.
 
     Both operators are positive semidefinite since each correlation operator
-    has spectrum in [-1, 1]; a PSD failure means the sign layout is wrong.
+    has spectrum in [-1, 1]; positivity_bounds certifies this, and a failure
+    means some 2x2 factor has norm above 1, so it is no +/-1 observable.
     """
     a, b = e.sign_variant
     q00, q01, q10, q11 = e.terms
+    for name, bound in zip("XY", positivity_bounds(e)):
+        if bound < -PSD_TOL:
+            raise WitnessIdentityError(
+                f"element {e.index}: {name} is not certified positive semidefinite "
+                f"(norm bound {bound:.3e})"
+            )
     eye = np.eye(q00.shape[0])
     x = 2.0 * eye - a * (q00 - q11)
     y = 2.0 * eye - b * (q01 + q10)
-    for name, m in (("X", x), ("Y", y)):
-        if not is_psd(m, PSD_TOL):
-            raise WitnessIdentityError(
-                f"element {e.index}: {name} is not positive semidefinite"
-            )
     return WitnessPair(x=x, y=y, sign_variant=(a, b))
 
 
@@ -78,15 +93,18 @@ def _witness_matrix(e: ChshElement) -> tuple[np.ndarray, float]:
     return q, frob_distance(q, target)
 
 
+def _require_residual(name: str, residual: float, dim: int) -> None:
+    if residual > ELEMENT_RESIDUAL_TOL * dim:
+        raise WitnessIdentityError(
+            f"{name}: identity residual {residual:.3e} exceeds "
+            f"{ELEMENT_RESIDUAL_TOL:.0e} * {dim}; cross-term cancellation failed"
+        )
+
+
 def element_witness(e: ChshElement) -> np.ndarray:
     """Q_elem = {X, Y}; certified equal to 4(2I - I_elem)."""
     q, residual = _witness_matrix(e)
-    dim = q.shape[0]
-    if residual > ELEMENT_RESIDUAL_TOL * dim:
-        raise WitnessIdentityError(
-            f"element {e.index}: ||{{X,Y}} - 4(2I - I)|| = {residual:.3e}; "
-            "cross-term cancellation failed"
-        )
+    _require_residual(f"element {e.index}", residual, q.shape[0])
     return q
 
 
@@ -102,25 +120,43 @@ def _kahan_sum(mats: list[np.ndarray]) -> np.ndarray:
     return total
 
 
+def witness_identities(
+    settings: SettingsTable, pattern: SignPattern | None = None
+) -> tuple[np.ndarray, InequalityOperator, dict[str, float]]:
+    """Total witness, its inequality operator, and the Frobenius residual of
+    every identity: ``chsh_4e`` (N = 2) or ``element_xi<k>`` per element, and
+    ``total`` for Q_tot = 4(2^(N-1) I - I_op).  Thresholds are the caller's."""
+    n = settings.n_parties
+    if n == 2:
+        elements, keys = [chsh_element(settings, pattern)], ["chsh_4e"]
+    else:
+        elements = decompose_svetlichny(settings, pattern)
+        keys = [f"element_xi{e.index}" for e in elements]
+    # At N = 2 the Svetlichny operator is the CHSH operator.
+    ineq_op = svetlichny_operator(settings, pattern)
+
+    residuals: dict[str, float] = {}
+    witnesses = []
+    for key, e in zip(keys, elements):
+        q, residuals[key] = _witness_matrix(e)
+        witnesses.append(q)
+    total = _kahan_sum(witnesses)
+    target = 4.0 * (2.0 ** (n - 1) * np.eye(total.shape[0]) - ineq_op.matrix)
+    residuals["total"] = frob_distance(total, target)
+    return total, ineq_op, residuals
+
+
 def total_witness(
     settings: SettingsTable, pattern: SignPattern | None = None
 ) -> np.ndarray:
     """Q_tot = sum of element witnesses; certified equal to 4(2^(N-1) I - I_svet)."""
-    n = settings.n_parties
-    if n < 3:
+    if settings.n_parties < 3:
         raise ValueError(
             "total_witness needs at least three parties; use the CHSH element for N = 2"
         )
-    elements = decompose_svetlichny(settings, pattern)
-    total = _kahan_sum([element_witness(e) for e in elements])
-    svet = svetlichny_operator(settings, pattern)
-    dim = total.shape[0]
-    target = 4.0 * (2.0 ** (n - 1) * np.eye(dim) - svet.matrix)
-    residual = frob_distance(total, target)
-    if residual > ELEMENT_RESIDUAL_TOL * dim:
-        raise WitnessIdentityError(
-            f"||Q_tot - 4(2^(N-1) I - I_svet)|| = {residual:.3e} at N = {n}"
-        )
+    total, _, residuals = witness_identities(settings, pattern)
+    for key, residual in residuals.items():
+        _require_residual(key, residual, total.shape[0])
     return total
 
 
@@ -159,30 +195,8 @@ def evaluate_witness(
     dim = 2**n
     if rho.shape != (dim, dim):
         raise ValueError(f"state has shape {rho.shape}, expected {(dim, dim)}")
-    if n == 2:
-        elements = [chsh_element(settings, pattern)]
-        ineq_op = (
-            chsh_operator(settings)
-            if pattern is None
-            else svetlichny_operator(settings, pattern)
-        )
-        keys = ["chsh_4e"]
-    else:
-        elements = decompose_svetlichny(settings, pattern)
-        ineq_op = svetlichny_operator(settings, pattern)
-        keys = [f"element_xi{e.index}" for e in elements]
-
-    residuals: dict[str, float] = {}
-    witnesses = []
-    for key, e in zip(keys, elements):
-        q, residual = _witness_matrix(e)
-        residuals[key] = residual
-        witnesses.append(q)
-    total = _kahan_sum(witnesses)
+    total, ineq_op, residuals = witness_identities(settings, pattern)
     bound = float(2 ** (n - 1))
-    eye = np.eye(dim)
-    residuals["total"] = frob_distance(total, 4.0 * (bound * eye - ineq_op.matrix))
-
     value = expectation(total, rho)
     svet_value = expectation(ineq_op.matrix, rho)
     if abs(value - 4.0 * (bound - svet_value)) > VALUE_CROSSCHECK_TOL:

@@ -6,7 +6,7 @@ import pytest
 
 from conftest import SQRT2, planar_settings
 
-from qwitness import cli
+from qwitness import cli, ineq, witness
 
 
 def run_cli(capsys, argv):
@@ -231,6 +231,14 @@ class TestReportContract:
         assert code == 0
         assert out_path.read_text(encoding="utf-8") == captured.out
 
+    def test_out_write_failure_prints_no_report(self, capsys, tmp_path):
+        out_path = tmp_path / "missing" / "report.json"
+        code = cli.main(["bounds", "--n", "3", "--out", str(out_path)])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert "cannot write report" in captured.err
+
     def test_report_envelope_fields(self, capsys):
         _, report, _ = run_cli(capsys, ["bounds", "--n", "2"])
         assert set(report) == {
@@ -289,6 +297,10 @@ class TestIntegerFields:
             {"optimizer": {"seed": True}},
             {"optimizer": {"restarts": True}},
             {"seed": 2.5},
+            {"random_trials": 2.7},
+            {"random_trials": True},
+            {"corrupt_sign": -0.5},
+            {"corrupt_sign": 1.9},
         ],
     )
     def test_optimizer_fields_rejected(self, capsys, tmp_path, payload):
@@ -305,3 +317,38 @@ class TestIntegerFields:
         assert code == 3
         assert report is None
         assert "n_parties must be an integer" in err
+
+    @pytest.mark.parametrize("trials", ["-1", "0"])
+    def test_random_trials_must_be_positive(self, capsys, trials):
+        code, report, err = run_cli(capsys, ["verify", "--n", "3", "--random", trials])
+        assert code == 3
+        assert report is None
+        assert "random_trials must be at least 1" in err
+
+
+def flipped_svetlichny_pattern(n):
+    # cli holds the unpatched function, so this does not recurse.
+    return cli.svetlichny_pattern(n).flipped(0)
+
+
+class TestIdentityFailureExit:
+    """An identity failure in any command exits 2 with one named stderr line."""
+
+    @pytest.mark.parametrize(
+        "target, attribute, value, name",
+        [
+            (witness, "VALUE_CROSSCHECK_TOL", -1.0, "anticommutator_cancellation"),
+            (ineq, "svetlichny_pattern", flipped_svetlichny_pattern, "chsh_type_certification"),
+        ],
+        ids=["value_crosscheck", "sign_certification"],
+    )
+    def test_witness_command(self, capsys, tmp_path, monkeypatch, target, attribute, value, name):
+        monkeypatch.setattr(target, attribute, value)
+        cfg = write_config(tmp_path, {"settings": planar_settings(3).to_json_dict()})
+        code, report, err = run_cli(
+            capsys, ["witness", "--n", "3", "--state", "ghz", "--config", cfg]
+        )
+        assert code == 2
+        assert report is None
+        assert err.count("\n") == 1
+        assert err.startswith(f"qwitness: {name}: ")

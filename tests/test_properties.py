@@ -2,10 +2,12 @@
 
 Random +/-1 sign patterns and random measurement settings drive the
 mode-product kernel (ineq.correlation_sum) through the classical bounds and
-the inequality operators.  Example counts are bounded and derandomized so
+the inequality operators, and the norm certificate for the witness pairs
+against dense eigenvalues.  Example counts are bounded and derandomized so
 the suite stays fast and repeatable.
 """
 
+import dataclasses
 import itertools
 import math
 
@@ -15,17 +17,39 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import first_max_hybrid, first_max_lhv
+from qwitness import cli
 from qwitness.classical import (
     DeterministicStrategy,
     evaluate_strategy,
     hybrid_bound,
     lhv_bound,
 )
-from qwitness.ineq import SignPattern, correlation_operator, correlation_sum, svetlichny_operator
+from qwitness.ineq import (
+    ChshElement,
+    PartyFactors,
+    SignPattern,
+    chsh_element,
+    chsh_optimal_settings,
+    correlation_operator,
+    correlation_sum,
+    decompose_svetlichny,
+    svetlichny_operator,
+)
+from qwitness.opalg import hermitian_eigenvalues, is_psd
 from qwitness.optimize import _observables_from_angles, _signed_sum, settings_from_angles
-from qwitness.qobs import BlochVector, SettingsTable
+from qwitness.qobs import BlochVector, Grouping, SettingsTable, maximally_mixed
+from qwitness.witness import (
+    PSD_TOL,
+    WitnessIdentityError,
+    evaluate_witness,
+    positivity_bounds,
+    witness_pair,
+)
 
 OPERATOR_TOL = 1e-12
+# Slack of a dense eigenvalue of X or Y (norm <= 4, dimension <= 64) against
+# the exact Weyl bound.
+EIGENVALUE_TOL = 1e-12
 
 
 def bounded(max_examples):
@@ -99,3 +123,64 @@ def test_signed_sum_equals_svetlichny_operator(n, data):
     phase_trick = _signed_sum(_observables_from_angles(angles))
     kernel = svetlichny_operator(settings_from_angles(angles)).matrix
     assert np.max(np.abs(phase_trick - kernel)) <= OPERATOR_TOL
+
+
+def dense_xy(e):
+    """X and Y built from the element's terms, for the dense oracle."""
+    a, b = e.sign_variant
+    q00, q01, q10, q11 = e.terms
+    eye = np.eye(q00.shape[0])
+    return 2.0 * eye - a * (q00 - q11), 2.0 * eye - b * (q01 + q10)
+
+
+def elements_of(table):
+    return [chsh_element(table)] if table.n_parties == 2 else decompose_svetlichny(table)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+@bounded(6)
+@given(data=st.data())
+def test_norm_certificate_bounds_dense_min_eigenvalue(n, data):
+    table = data.draw(settings_tables(n))
+    # Scaled factors are no longer involutions, so the bound takes both signs.
+    scales = data.draw(st.lists(st.floats(0.5, 1.5), min_size=2 * n, max_size=2 * n))
+    observables = PartyFactors.from_settings(table).observables
+    for scaled in (1.0, np.reshape(scales, (n, 2, 1, 1))):
+        factors = PartyFactors(observables * scaled)
+        for e in elements_of(table):
+            e = dataclasses.replace(e, factors=factors)
+            x, y = dense_xy(e)
+            x_min = hermitian_eigenvalues(x).values[0]
+            y_min = hermitian_eigenvalues(y).values[0]
+            x_bound, y_bound = positivity_bounds(e)
+            assert x_bound <= x_min + EIGENVALUE_TOL
+            assert y_bound <= y_min + EIGENVALUE_TOL
+            if min(x_bound, y_bound) >= -PSD_TOL:
+                pair = witness_pair(e)
+                assert is_psd(pair.x, PSD_TOL) and is_psd(pair.y, PSD_TOL)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@bounded(5)
+@given(data=st.data())
+def test_verify_and_evaluate_witness_share_residuals(n, data):
+    table = data.draw(settings_tables(n))
+    cfg = {"n_parties": n, "seed": 1, "settings": table.to_json_dict()}
+    results, code = cli.cmd_verify(cfg)
+    assert code == 0
+    report = evaluate_witness(table, maximally_mixed(n))
+    keys = {"chsh_4e"} if n == 2 else {f"element_xi{k}" for k in range(2 ** (n - 2))}
+    assert keys <= set(results["residuals"])
+    assert {k: results["residuals"][k] for k in keys} == {
+        k: report.identity_residuals[k] for k in keys
+    }
+
+
+def test_scaled_factor_rejected_naming_x():
+    observables = PartyFactors.from_settings(chsh_optimal_settings()).observables.copy()
+    observables[0, 0] *= 1.5
+    factors = PartyFactors(observables)
+    e = ChshElement(0, Grouping((0,), (1,)), (), (1, 1, 1, -1), factors, (0, 1, 2, 3))
+    assert not is_psd(dense_xy(e)[0], PSD_TOL)
+    with pytest.raises(WitnessIdentityError, match="X is not certified positive semidefinite"):
+        witness_pair(e)

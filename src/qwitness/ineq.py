@@ -148,14 +148,15 @@ def correlation_sum(coeffs, factors) -> np.ndarray:
     counting order (party 0 most significant); ``factors[p]`` is an array
     of shape (2, *s_p) indexed first by party p's setting bit.  Returns the
     tensor of shape (*s_0, ..., *s_{N-1}) whose entry [i_0, ..., i_{N-1}] is
-    sum_w c_w prod_p F_p[w_p, i_p].
+    sum_w c_w prod_p F_p[w_p, i_p].  A factor may lead with any size m_p in
+    place of 2; ``coeffs`` then holds prod_p m_p entries, party 0's index
+    most significant.
 
-    The 2 x ... x 2 coefficient tensor is contracted with one party's factor
-    at a time, so the cost is O(N * size of the result) instead of 2^N
-    products of that size.
+    The m_0 x ... x m_{N-1} coefficient tensor is contracted with one
+    party's factor at a time, so the cost is O(N * size of the result)
+    instead of 2^N products of that size.
     """
-    n = len(factors)
-    out = np.asarray(coeffs).reshape((2,) * n)
+    out = np.asarray(coeffs).reshape([len(factor) for factor in factors])
     for factor in factors:
         # Contracts the leading setting axis and appends the party's axes
         # last, so after N steps the parties sit in order 0..N-1.

@@ -1,24 +1,33 @@
 """Measurement-setting optimization.
 
-Deterministic coordinate ascent over the two sphere angles of every
-measurement direction, with golden-section line searches and a shrinking
-trust window.  Restart points come from a fixed linear congruential
-generator so identical seeds reproduce identical runs on any platform.
+Exact see-saw (Werner & Wolf, QIC 1, 2001; Pal & Vertesi, PRA 82, 022116,
+2010).  On a fixed state every objective here is affine in each
+measurement's Bloch vector, so with the other settings held fixed the best
+direction has the closed form n = g/|g|.  A sweep updates every party once.
+Restart points come from a fixed linear congruential generator so identical
+seeds reproduce identical runs on any platform.
 
 The state-free objective is the largest eigenvalue of the inequality
-operator (its optimal state is the matching eigenvector); a state-bound
-variant maximizes the expectation on a fixed density matrix instead.
+operator (its optimal state is the matching eigenvector): each sweep runs
+on the current top eigenvector, which cannot lower the eigenvalue.  A
+state-bound variant maximizes the expectation on a fixed density matrix.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .ineq import InequalityOperator, chsh_operator, svetlichny_operator
+from .ineq import (
+    InequalityOperator,
+    chsh_operator,
+    correlation_sum,
+    svetlichny_operator,
+    svetlichny_pattern,
+)
 from .opalg import check_eig_dim, hermitian_eigenvalues
 from .qobs import (
     PAULI_X,
@@ -28,15 +37,17 @@ from .qobs import (
     SettingsTable,
     expectation,
     ghz_state,
-    noisy_mixture,
 )
 
 SWEEP_IMPROVEMENT_TOL = 1e-10
-LINESEARCH_TOL_FRACTION = 1e-3
-STEP_SHRINK = 0.25
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 INEQUALITY_KINDS = ("chsh", "svetlichny")
+
+# Row 2r + c, column k holds sigma_k[c, r] for k = x, y, z: contracting a
+# party's (row, column) index pair of a density matrix with it gives the
+# trace against that party's Pauli matrices.
+_PAULI_TABLE = np.stack([PAULI_X, PAULI_Y, PAULI_Z], axis=-1).transpose(1, 0, 2).reshape(4, 3)
+_SETTING_IDENTITY = np.eye(2)
 
 
 class Lcg64:
@@ -80,6 +91,9 @@ class Lcg64:
 
 @dataclass(frozen=True)
 class OptimizationConfig:
+    """Optimizer settings.  ``step_init`` and ``step_min`` are validated and
+    serialized for old configs but have no effect on the see-saw."""
+
     restarts: int = 20
     max_iters: int = 500
     step_init: float = 0.3
@@ -113,6 +127,9 @@ class OptimizationConfig:
 
 @dataclass(frozen=True)
 class OptimizationResult:
+    """Best restart's value and settings; ``iterations`` and ``history``
+    count its see-saw sweeps, with history entry 0 at the start point."""
+
     best_value: float
     settings: SettingsTable
     iterations: int
@@ -147,120 +164,124 @@ def angles_from_settings(settings: SettingsTable) -> np.ndarray:
     return out
 
 
-def _observables_from_angles(angles: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    obs = []
-    for p in range(angles.shape[0]):
-        pair = []
-        for s in (0, 1):
-            theta, phi = angles[p, s]
-            st = math.sin(theta)
-            pair.append(
-                st * math.cos(phi) * PAULI_X
-                + st * math.sin(phi) * PAULI_Y
-                + math.cos(theta) * PAULI_Z
-            )
-        obs.append((pair[0], pair[1]))
-    return obs
+def _bloch_array(settings: SettingsTable) -> np.ndarray:
+    """Settings as an (N, 2, 3) array of Bloch vectors."""
+    return np.array([[v.as_list() for v in pair] for pair in settings.parties])
 
 
-def _signed_sum(obs: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
-    """Sum of sign(word) * correlation operator over all setting words.
+def _settings_table(bloch: np.ndarray) -> SettingsTable:
+    return SettingsTable(tuple(tuple(BlochVector(*v) for v in pair) for pair in bloch.tolist()))
 
-    Computed as the Hermitian part of (1 - i) * kron_p(O_p0 + i O_p1), which
-    equals the word-by-word sum because
-    (1 - i) i^k + (1 + i) (-i)^k = 2 * (-1)^floor(k/2).
+
+def _svetlichny_coeffs(n_parties: int) -> np.ndarray:
+    return np.array(svetlichny_pattern(n_parties).coeffs, dtype=np.float64)
+
+
+def _correlation_tensor(rho: np.ndarray) -> np.ndarray:
+    """T[k_0, ..., k_{N-1}] = Re tr(rho sigma_k0 x ... x sigma_k{N-1}) for
+    k_p in (x, y, z)."""
+    n = rho.shape[0].bit_length() - 1
+    # (row_0..row_{N-1}, col_0..col_{N-1}) -> (row_0, col_0, row_1, col_1, ...)
+    pairs = np.asarray(rho).reshape((2,) * (2 * n)).transpose(
+        [axis for p in range(n) for axis in (p, n + p)]
+    )
+    return correlation_sum(pairs, [_PAULI_TABLE] * n).real
+
+
+def _value(coeffs: np.ndarray, bloch: np.ndarray, corr: np.ndarray) -> float:
+    """Expectation sum_w c_w sum_k T_k prod_p B[p, w_p, k_p]."""
+    return float(np.sum(correlation_sum(coeffs, bloch) * corr))
+
+
+def _update_party(coeffs: np.ndarray, bloch: np.ndarray, corr: np.ndarray, party: int) -> float:
+    """Set both of a party's directions to n = g/|g| in place; returns the
+    value afterwards.
+
+    The gradient G[s, k] is the kernel with the party's factor set to the
+    identity on its setting bit, contracted with T over the other parties.
+    No setting word uses both of a party's settings, so the value is
+    sum_s G[s] . B[party, s] and both rows update at once.  A zero gradient
+    row (the maximally mixed state) keeps its direction.
     """
-    acc = None
-    for m0, m1 in obs:
-        factor = m0 + 1j * m1
-        acc = factor if acc is None else np.kron(acc, factor)
-    m = (1.0 - 1.0j) * acc
-    return (m + m.conj().T) / 2.0
+    factors = list(bloch)
+    factors[party] = _SETTING_IDENTITY
+    others = [q for q in range(len(bloch)) if q != party]
+    grad = np.tensordot(correlation_sum(coeffs, factors), corr, axes=(others, others))
+    norms = np.linalg.norm(grad, axis=1)
+    moved = norms > 0.0
+    bloch[party, moved] = grad[moved] / norms[moved, None]
+    return float(np.sum(norms))
 
 
-def _eig_objective(angles: np.ndarray) -> float:
-    m = _signed_sum(_observables_from_angles(angles))
-    return float(np.linalg.eigvalsh(m)[-1])
+def _sweep(coeffs: np.ndarray, bloch: np.ndarray, corr: np.ndarray) -> tuple[float, np.ndarray]:
+    """One see-saw sweep over the parties on a copy; (value, new settings)."""
+    bloch = bloch.copy()
+    for party in range(len(bloch)):
+        value = _update_party(coeffs, bloch, corr, party)
+    return value, bloch
 
 
-def _golden_max(f, lo: float, hi: float, tol: float) -> tuple[float, float]:
-    """Golden-section maximization on [lo, hi]; returns the best sampled point."""
-    a, b = lo, hi
-    x1 = b - _INV_PHI * (b - a)
-    x2 = a + _INV_PHI * (b - a)
-    f1, f2 = f(x1), f(x2)
-    if f1 >= f2:
-        best_x, best_f = x1, f1
-    else:
-        best_x, best_f = x2, f2
-    while (b - a) > tol:
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _INV_PHI * (b - a)
-            f2 = f(x2)
-            if f2 > best_f:
-                best_x, best_f = x2, f2
-        else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _INV_PHI * (b - a)
-            f1 = f(x1)
-            if f1 > best_f:
-                best_x, best_f = x1, f1
-    return best_x, best_f
-
-
-def _coordinate_ascent(objective, start: np.ndarray, cfg: OptimizationConfig):
-    """Sweep parties in order, line-searching each angle in a shrinking window.
-
-    A sweep that improves by less than SWEEP_IMPROVEMENT_TOL shrinks the
-    window; convergence is declared once that happens at the minimum step.
-    """
-    angles = start.copy()
-    value = objective(angles)
+def _see_saw(value: float, bloch: np.ndarray, step, max_sweeps: int):
+    """Repeat ``step`` (settings -> (value, settings)) from a start of known
+    value.  A sweep is accepted only if the value did not fall, which guards
+    against rounding; convergence is a sweep gaining less than
+    SWEEP_IMPROVEMENT_TOL."""
     history = [(0, value)]
-    step = cfg.step_init
-    converged = False
-    sweeps = 0
-    for sweep in range(1, cfg.max_iters + 1):
-        sweeps = sweep
-        before = value
-        for p in range(angles.shape[0]):
-            for s in (0, 1):
-                for k in (0, 1):
-                    x0 = angles[p, s, k]
-
-                    def f(x, p=p, s=s, k=k):
-                        angles[p, s, k] = x
-                        return objective(angles)
-
-                    xb, fb = _golden_max(
-                        f, x0 - step, x0 + step, step * LINESEARCH_TOL_FRACTION
-                    )
-                    if fb > value:
-                        angles[p, s, k] = xb
-                        value = fb
-                    else:
-                        angles[p, s, k] = x0
+    for sweep in range(1, max_sweeps + 1):
+        new_value, new_bloch = step(bloch)
+        gain = new_value - value
+        if gain >= 0.0:
+            value, bloch = new_value, new_bloch
         history.append((sweep, value))
-        if value - before < SWEEP_IMPROVEMENT_TOL:
-            if step <= cfg.step_min:
-                converged = True
-                break
-            step = max(step * STEP_SHRINK, cfg.step_min)
-    return value, angles, sweeps, converged, history
+        if gain < SWEEP_IMPROVEMENT_TOL:
+            return value, bloch, sweep, True, history
+    return value, bloch, max_sweeps, False, history
 
 
-def _run_restarts(n_parties: int, objective, cfg: OptimizationConfig):
-    """Independent restarts; best selected by (value, restart index)."""
+def _expectation_see_saw(start: np.ndarray, corr: np.ndarray, max_sweeps: int):
+    """See-saw on the Svetlichny expectation for correlation tensor ``corr``."""
+    coeffs = _svetlichny_coeffs(len(start))
+    return _see_saw(
+        _value(coeffs, start, corr), start, lambda b: _sweep(coeffs, b, corr), max_sweeps
+    )
+
+
+def _top_eigenpair(bloch: np.ndarray) -> tuple[float, np.ndarray]:
+    matrix = svetlichny_operator(_settings_table(bloch)).matrix
+    values, vectors = np.linalg.eigh(matrix)
+    return float(values[-1]), vectors[:, -1]
+
+
+def _violation_see_saw(start: np.ndarray, max_sweeps: int):
+    """See-saw on the largest eigenvalue.  Each sweep runs on the current top
+    eigenvector psi, so lambda_max(S') >= <psi|S'|psi> >= <psi|S|psi> =
+    lambda_max(S)."""
+    coeffs = _svetlichny_coeffs(len(start))
+    value, psi = _top_eigenpair(start)
+
+    def step(bloch):
+        nonlocal psi
+        _, new = _sweep(coeffs, bloch, _correlation_tensor(np.outer(psi, psi.conj())))
+        # A rejected sweep ends the run, so psi may always move to the new
+        # settings' eigenvector.
+        new_value, psi = _top_eigenpair(new)
+        return new_value, new
+
+    return _see_saw(value, start, step, max_sweeps)
+
+
+def _run_restarts(n_parties: int, ascend, cfg: OptimizationConfig):
+    """Independent restarts; best selected by (value, restart index).  Each
+    start is drawn just before its ascent, which never touches the
+    generator, so the draws follow the same stream as drawing all first."""
     rng = Lcg64(cfg.seed)
-    starts = [rng.settings_angles(n_parties) for _ in range(cfg.restarts)]
     best = None
-    for start in starts:
-        result = _coordinate_ascent(objective, start, cfg)
+    for _ in range(cfg.restarts):
+        result = ascend(_bloch_array(rng.settings(n_parties)), cfg.max_iters)
         if best is None or result[0] > best[0]:
             best = result
-    value, angles, sweeps, converged, history = best
-    return value, settings_from_angles(angles), sweeps, converged, tuple(history)
+    value, bloch, sweeps, converged, history = best
+    return value, _settings_table(bloch), sweeps, converged, tuple(history)
 
 
 def _validate_kind(n_parties: int, kind: str) -> None:
@@ -292,7 +313,7 @@ def maximize_violation(
     cfg = cfg or OptimizationConfig()
     _validate_kind(n_parties, kind)
     value, settings, sweeps, converged, history = _run_restarts(
-        n_parties, _eig_objective, cfg
+        n_parties, _violation_see_saw, cfg
     )
     check = max_eigenvalue(_build_operator(n_parties, kind, settings))
     if abs(check - value) > 1e-9:  # pragma: no cover - internal consistency
@@ -309,14 +330,9 @@ def maximize_expectation(
     dim = 2**n_parties
     if rho.shape != (dim, dim):
         raise ValueError(f"state has shape {rho.shape}, expected {(dim, dim)}")
-    rho_t = rho.T.copy()
-
-    def objective(angles):
-        m = _signed_sum(_observables_from_angles(angles))
-        return float(np.real(np.sum(m * rho_t)))
-
+    corr = _correlation_tensor(rho)
     value, settings, sweeps, converged, history = _run_restarts(
-        n_parties, objective, cfg
+        n_parties, lambda start, max_sweeps: _expectation_see_saw(start, corr, max_sweeps), cfg
     )
     check = expectation(_build_operator(n_parties, kind, settings).matrix, rho)
     if abs(check - value) > 1e-9:  # pragma: no cover - internal consistency
@@ -329,11 +345,13 @@ def violation_threshold(
     cfg: OptimizationConfig | None = None,
     state_family: str = "noisy-ghz",
 ) -> float:
-    """Visibility at which the optimized inequality value crosses 2^(N-1).
+    """Visibility at which the optimized inequality value crosses 2^(N-1)
+    for the family v * ghz + (1 - v) * I/d.
 
-    Bisection on v in [0, 1] for the family v * ghz + (1 - v) * I/d; at each
-    step the settings are re-optimized, warm-started from the previous
-    optimum, and the crossing is located to 1e-6 in v.
+    Every full-correlation operator is traceless, so on this family the value
+    is exactly v times the GHZ value for any settings, and the crossing is
+    2^(N-1) / max_GHZ: one optimization and one division.  An optimum that
+    does not beat the bound gives 1.
     """
     if n_parties < 3:
         raise ValueError("threshold scans need at least three parties")
@@ -341,27 +359,6 @@ def violation_threshold(
         raise ValueError(f"unsupported state family {state_family!r}")
     check_eig_dim(2**n_parties)
     cfg = cfg or OptimizationConfig()
-    base = ghz_state(n_parties)
     bound = 2.0 ** (n_parties - 1)
-
-    top = maximize_expectation(n_parties, "svetlichny", base, cfg)
-    warm = angles_from_settings(top.settings)
-    # Warm restarts start at the previous optimum; a small window and a
-    # coarser floor keep the per-step polish cheap.
-    warm_cfg = replace(cfg, restarts=1, step_init=0.05, step_min=1e-4)
-
-    lo, hi = 0.0, 1.0
-    while hi - lo > 1e-6:
-        mid = 0.5 * (lo + hi)
-        rho_t = noisy_mixture(base, mid).T.copy()
-
-        def objective(angles):
-            m = _signed_sum(_observables_from_angles(angles))
-            return float(np.real(np.sum(m * rho_t)))
-
-        value, warm, _, _, _ = _coordinate_ascent(objective, warm, warm_cfg)
-        if value > bound:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+    best = maximize_expectation(n_parties, "svetlichny", ghz_state(n_parties), cfg).best_value
+    return 1.0 if best <= bound else bound / best

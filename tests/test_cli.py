@@ -143,6 +143,21 @@ class TestWitness:
         assert code == 0
         assert report["results"]["report"]["value"] >= -1e-9
 
+    def test_mixed_state_with_optimizer(self, capsys):
+        # Every gradient vanishes on I/d: the see-saw keeps its start and stops.
+        code, report, _ = run_cli(capsys, ["witness", "--n", "3", "--state", "mixed", "--optimize"])
+        assert code == 0
+        assert report["results"]["optimizer"]["best_value"] == 0
+        assert report["results"]["optimizer"]["converged"] is True
+        assert report["results"]["report"]["value"] == 16
+
+    def test_product_state_with_optimizer(self, capsys):
+        code, report, _ = run_cli(
+            capsys, ["witness", "--n", "3", "--state", "product", "--optimize"]
+        )
+        assert code == 0
+        assert report["results"]["report"]["value"] >= -1e-9
+
     def test_needs_settings_or_optimize(self, capsys):
         code, _, err = run_cli(capsys, ["witness", "--n", "3", "--state", "ghz"])
         assert code == 3

@@ -7,8 +7,10 @@ from qwitness.ineq import chsh_operator, chsh_optimal_settings, svetlichny_opera
 from qwitness.optimize import (
     Lcg64,
     OptimizationConfig,
-    _coordinate_ascent,
-    _eig_objective,
+    _bloch_array,
+    _correlation_tensor,
+    _expectation_see_saw,
+    _violation_see_saw,
     angles_from_settings,
     max_eigenvalue,
     maximize_expectation,
@@ -116,9 +118,7 @@ class TestSettingRelabelingInvariance:
             ((table.parties[0][1], table.parties[0][0]),) + table.parties[1:]
         )
         cfg = OptimizationConfig(restarts=1, seed=1)
-        value, _, _, _, _ = _coordinate_ascent(
-            _eig_objective, angles_from_settings(swapped), cfg
-        )
+        value, _, _, _, _ = _violation_see_saw(_bloch_array(swapped), cfg.max_iters)
         assert abs(value - svet3_opt.best_value) < 1e-6
 
 
@@ -132,15 +132,8 @@ class TestMaximizeExpectation:
     def test_planar_settings_are_already_optimal(self):
         rho = ghz_state(3)
         cfg = OptimizationConfig(restarts=1, seed=74, step_init=0.05, step_min=1e-4)
-        rho_t = rho.T.copy()
-
-        def objective(angles):
-            from qwitness.optimize import _observables_from_angles, _signed_sum
-
-            return float(np.real(np.sum(_signed_sum(_observables_from_angles(angles)) * rho_t)))
-
-        value, _, _, _, _ = _coordinate_ascent(
-            objective, angles_from_settings(planar_settings(3)), cfg
+        value, _, _, _, _ = _expectation_see_saw(
+            _bloch_array(planar_settings(3)), _correlation_tensor(rho), cfg.max_iters
         )
         assert abs(value - 4.0 * SQRT2) < 1e-9
 
@@ -153,6 +146,10 @@ class TestViolationThreshold:
     def test_three_party_threshold(self):
         v = violation_threshold(3, OptimizationConfig(restarts=2, seed=75))
         assert abs(v - 1.0 / SQRT2) < 1e-4
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_closed_form_on_default_config(self, n):
+        assert abs(violation_threshold(n) - 1.0 / SQRT2) < 1e-9
 
     def test_needs_three_parties(self):
         with pytest.raises(ValueError, match="three"):

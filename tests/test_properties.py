@@ -1,10 +1,11 @@
 """Property tests: every fast path equals its brute-force or dense oracle.
 
 Random +/-1 sign patterns and random measurement settings drive the
-mode-product kernel (ineq.correlation_sum) through the classical bounds and
-the inequality operators, and the norm certificate for the witness pairs
-against dense eigenvalues.  Example counts are bounded and derandomized so
-the suite stays fast and repeatable.
+mode-product kernel (ineq.correlation_sum) through the classical bounds, the
+inequality operators and the see-saw optimizer's values and updates, and the
+norm certificate for the witness pairs against dense eigenvalues.  Example
+counts are bounded and derandomized so the suite stays fast and repeatable;
+the explain phase is skipped so that a failing property reports quickly.
 """
 
 import dataclasses
@@ -13,7 +14,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from conftest import first_max_hybrid, first_max_lhv
@@ -36,8 +37,27 @@ from qwitness.ineq import (
     svetlichny_operator,
 )
 from qwitness.opalg import hermitian_eigenvalues, is_psd
-from qwitness.optimize import _observables_from_angles, _signed_sum, settings_from_angles
-from qwitness.qobs import BlochVector, Grouping, SettingsTable, maximally_mixed
+from qwitness.optimize import (
+    _bloch_array,
+    _correlation_tensor,
+    _svetlichny_coeffs,
+    _update_party,
+    _value,
+    settings_from_angles,
+)
+from qwitness.qobs import (
+    PAULI_X,
+    PAULI_Y,
+    PAULI_Z,
+    BlochVector,
+    Grouping,
+    SettingsTable,
+    expectation,
+    ghz_state,
+    maximally_mixed,
+    noisy_mixture,
+    product_state,
+)
 from qwitness.witness import (
     PSD_TOL,
     WitnessIdentityError,
@@ -53,7 +73,13 @@ EIGENVALUE_TOL = 1e-12
 
 
 def bounded(max_examples):
-    return settings(max_examples=max_examples, deadline=None, derandomize=True, database=None)
+    return settings(
+        max_examples=max_examples,
+        deadline=None,
+        derandomize=True,
+        database=None,
+        phases=(Phase.explicit, Phase.reuse, Phase.generate, Phase.shrink),
+    )
 
 
 def sign_patterns(n):
@@ -63,11 +89,11 @@ def sign_patterns(n):
 
 
 sphere_angles = st.tuples(st.floats(0.0, math.pi), st.floats(0.0, 2.0 * math.pi))
+unit_vectors = sphere_angles.map(lambda a: BlochVector.from_angles(*a))
 
 
 def settings_tables(n):
-    vector = sphere_angles.map(lambda a: BlochVector.from_angles(*a))
-    return st.lists(st.tuples(vector, vector), min_size=n, max_size=n).map(
+    return st.lists(st.tuples(unit_vectors, unit_vectors), min_size=n, max_size=n).map(
         lambda parties: SettingsTable(tuple(parties))
     )
 
@@ -114,6 +140,38 @@ def test_kernel_operator_equals_word_sum(n, data):
     assert np.max(np.abs(fast - dense)) <= OPERATOR_TOL
 
 
+def _observables_from_angles(angles):
+    """(setting-0, setting-1) observables per party from sphere angles."""
+    obs = []
+    for p in range(angles.shape[0]):
+        pair = []
+        for s in (0, 1):
+            theta, phi = angles[p, s]
+            sin_theta = math.sin(theta)
+            pair.append(
+                sin_theta * math.cos(phi) * PAULI_X
+                + sin_theta * math.sin(phi) * PAULI_Y
+                + math.cos(theta) * PAULI_Z
+            )
+        obs.append((pair[0], pair[1]))
+    return obs
+
+
+def _signed_sum(obs):
+    """Sum of sign(word) * correlation operator over all setting words.
+
+    Computed as the Hermitian part of (1 - i) * kron_p(O_p0 + i O_p1), which
+    equals the word-by-word sum because
+    (1 - i) i^k + (1 + i) (-i)^k = 2 * (-1)^floor(k/2).
+    """
+    acc = None
+    for m0, m1 in obs:
+        factor = m0 + 1j * m1
+        acc = factor if acc is None else np.kron(acc, factor)
+    m = (1.0 - 1.0j) * acc
+    return (m + m.conj().T) / 2.0
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 @bounded(6)
 @given(data=st.data())
@@ -123,6 +181,67 @@ def test_signed_sum_equals_svetlichny_operator(n, data):
     phase_trick = _signed_sum(_observables_from_angles(angles))
     kernel = svetlichny_operator(settings_from_angles(angles)).matrix
     assert np.max(np.abs(phase_trick - kernel)) <= OPERATOR_TOL
+
+
+def density_matrices(n):
+    """Random full-rank density matrices A A^dagger / tr, A complex Gaussian."""
+
+    def build(seed):
+        rng = np.random.default_rng(seed)
+        a = rng.normal(size=(2**n, 2**n)) + 1j * rng.normal(size=(2**n, 2**n))
+        rho = a @ a.conj().T
+        return rho / np.trace(rho).real
+
+    return st.integers(0, 2**32 - 1).map(build)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+@bounded(6)
+@given(data=st.data())
+def test_correlation_tensor_value_equals_dense_expectation(n, data):
+    table = data.draw(settings_tables(n))
+    states = (
+        ghz_state(n),
+        noisy_mixture(ghz_state(n), data.draw(st.floats(0.0, 1.0))),
+        product_state(data.draw(st.lists(unit_vectors, min_size=n, max_size=n))),
+        data.draw(density_matrices(n)),
+    )
+    operator = svetlichny_operator(table).matrix
+    for rho in states:
+        value = _value(_svetlichny_coeffs(n), _bloch_array(table), _correlation_tensor(rho))
+        assert abs(value - expectation(operator, rho)) <= OPERATOR_TOL
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+@bounded(6)
+@given(data=st.data())
+def test_party_update_picks_the_best_direction(n, data):
+    bloch = _bloch_array(data.draw(settings_tables(n)))
+    corr = _correlation_tensor(data.draw(density_matrices(n)))
+    party = data.draw(st.integers(0, n - 1))
+    rivals = data.draw(st.lists(st.tuples(st.integers(0, 1), unit_vectors), min_size=1, max_size=4))
+    coeffs = _svetlichny_coeffs(n)
+    before = _value(coeffs, bloch, corr)
+    after = _update_party(coeffs, bloch, corr, party)
+    assert after >= before - OPERATOR_TOL
+    assert abs(after - _value(coeffs, bloch, corr)) <= OPERATOR_TOL
+    for setting, rival in rivals:
+        trial = bloch.copy()
+        trial[party, setting] = rival.as_list()
+        assert _value(coeffs, trial, corr) <= after + OPERATOR_TOL
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+@bounded(6)
+@given(data=st.data())
+def test_noisy_ghz_value_scales_with_visibility(n, data):
+    # The fact behind violation_threshold's closed form.
+    bloch = _bloch_array(data.draw(settings_tables(n)))
+    v = data.draw(st.floats(0.0, 1.0))
+    coeffs = _svetlichny_coeffs(n)
+    ghz = _value(coeffs, bloch, _correlation_tensor(ghz_state(n)))
+    noisy = _value(coeffs, bloch, _correlation_tensor(noisy_mixture(ghz_state(n), v)))
+    assert abs(noisy - v * ghz) <= OPERATOR_TOL
 
 
 def dense_xy(e):

@@ -126,14 +126,19 @@ def evaluate_strategy(pattern: SignPattern, strategy: DeterministicStrategy) -> 
 _DIGIT_OUTCOMES = np.array([[1, 1], [1, -1], [-1, 1], [-1, -1]], dtype=np.int64)
 
 
-def lhv_bound(pattern: SignPattern) -> BoundResult:
-    """Maximum over all 4^N deterministic local strategies."""
-    n = pattern.n_parties
-    if n > LHV_MAX_PARTIES:
+def check_lhv_parties(n_parties: int) -> None:
+    """Refuse a local enumeration above the party cap before any work."""
+    if n_parties > LHV_MAX_PARTIES:
         raise CapExceededError(
             f"local enumeration is capped at N = {LHV_MAX_PARTIES} "
             f"(4^N strategies); group parties and use hybrid_bound, or sample"
         )
+
+
+def lhv_bound(pattern: SignPattern) -> BoundResult:
+    """Maximum over all 4^N deterministic local strategies."""
+    n = pattern.n_parties
+    check_lhv_parties(n)
     coeffs = np.asarray(pattern.coeffs, dtype=np.int64)
     values = correlation_sum(coeffs, [_DIGIT_OUTCOMES.T] * n).reshape(-1)
     best_idx = int(np.argmax(values))

@@ -13,6 +13,7 @@ Exit codes: 0 all checks passed, 2 a check failed, 3 invalid config,
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -21,17 +22,24 @@ import time
 import numpy as np
 
 from . import __version__
-from .classical import CapExceededError, hybrid_bound, lhv_bound, noncontextual_bound
+from .classical import (
+    CapExceededError,
+    check_lhv_parties,
+    hybrid_bound,
+    lhv_bound,
+    noncontextual_bound,
+)
 from .ineq import (
     CYCLE_PSD_TOL,
     CertificationError,
+    PartyFactors,
     chsh_optimal_settings,
     cycle_from_settings,
     noncontextual_identities,
     svetlichny_pattern,
 )
 from .opalg import (
-    check_eig_dim,
+    check_eig_parties,
     commutator,
     frob_norm,
     hermitian_eigenvalues,
@@ -51,7 +59,7 @@ from .witness import (
     ELEMENT_RESIDUAL_TOL,
     WitnessIdentityError,
     evaluate_witness,
-    witness_identities,
+    factored_identities,
 )
 
 EXIT_OK = 0
@@ -129,7 +137,10 @@ def _settings_from_cfg(cfg: dict, n_parties: int) -> SettingsTable | None:
 
 
 def _optimizer_cfg(cfg: dict) -> OptimizationConfig:
-    data = dict(cfg.get("optimizer") or {})
+    data = cfg.get("optimizer") or {}
+    if not isinstance(data, dict):
+        raise ConfigError(f"optimizer must be a JSON object, got {data!r}")
+    data = dict(data)
     data.setdefault("seed", cfg.get("seed", 1))
     try:
         return OptimizationConfig.from_json_dict(data)
@@ -139,6 +150,8 @@ def _optimizer_cfg(cfg: dict) -> OptimizationConfig:
 
 def _build_state(cfg: dict, n_parties: int) -> tuple[np.ndarray, str]:
     tag = cfg.get("state", "ghz")
+    if not isinstance(tag, str):
+        raise ConfigError(f"state must be a string tag, got {tag!r}")
     if tag == "ghz":
         return ghz_state(n_parties), "ghz"
     if tag == "mixed":
@@ -173,8 +186,7 @@ def cmd_verify(cfg: dict) -> tuple[dict, int]:
     n = cfg["n_parties"]
     if n < 2:
         raise ConfigError("verification needs at least two parties")
-    dim = 2**n
-    check_eig_dim(dim)
+    check_eig_parties(n)
     given = _settings_from_cfg(cfg, n)
     if given is not None:
         tables = [given]
@@ -193,12 +205,12 @@ def cmd_verify(cfg: dict) -> tuple[dict, int]:
 
     # The CHSH and cycle identities are exact; the Svetlichny ones carry
     # roundoff that grows with the dimension.
-    tol = EXACT_IDENTITY_TOL if n == 2 else ELEMENT_RESIDUAL_TOL * dim
+    tol = EXACT_IDENTITY_TOL if n == 2 else ELEMENT_RESIDUAL_TOL * 2**n
     residuals: dict[str, float] = {}
     failed_identity = None
     try:
         for table in tables:
-            _, _, found = witness_identities(table, pattern)
+            found = factored_identities(PartyFactors.from_settings(table), pattern).residuals
             if n == 2:
                 # At N = 2 the total is the one CHSH element; the cycle
                 # identities are checked in its place.
@@ -227,13 +239,15 @@ def cmd_bounds(cfg: dict) -> tuple[dict, int]:
     n = cfg["n_parties"]
     if n < 2:
         raise ConfigError("bounds need at least two parties")
-    pattern = svetlichny_pattern(n)
     results: dict = {"n_parties": n}
     try:
-        results["lhv"] = lhv_bound(pattern).to_json_dict()
+        # Checked before the 2^N-coefficient pattern is built.
+        check_lhv_parties(n)
     except CapExceededError as exc:
         results["error"] = str(exc)
         return results, EXIT_CAP_EXCEEDED
+    pattern = svetlichny_pattern(n)
+    results["lhv"] = lhv_bound(pattern).to_json_dict()
     if n <= 4:
         results["hybrid"] = hybrid_bound(pattern).to_json_dict()
     else:
@@ -261,7 +275,7 @@ def cmd_witness(cfg: dict) -> tuple[dict, int]:
     n = cfg["n_parties"]
     if n < 2:
         raise ConfigError("witness evaluation needs at least two parties")
-    check_eig_dim(2**n)
+    check_eig_parties(n)
     rho, state_desc = _build_state(cfg, n)
     table = _settings_from_cfg(cfg, n)
     optimizer_payload = None
@@ -290,6 +304,8 @@ def cmd_contextuality(cfg: dict) -> tuple[dict, int]:
     """Verify the 4-cycle construction; optionally evaluate it on a state."""
     custom = cfg.get("cycle")
     if custom is not None:
+        if not isinstance(custom, dict):
+            raise ConfigError(f"cycle must be a JSON object with keys a, b, c, d, got {custom!r}")
         try:
             a, b, c, d = (_complex_matrix(custom[key]) for key in ("a", "b", "c", "d"))
         except KeyError as exc:
@@ -359,7 +375,9 @@ _HANDLERS = {
 }
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
+    """The argparse tree, built once: parsing never mutates it."""
     parser = argparse.ArgumentParser(
         prog="qwitness",
         description="Quantumness-witness toolkit: operator identities, classical "

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -124,21 +125,29 @@ class PartyFactors:
     def from_settings(cls, settings: SettingsTable) -> "PartyFactors":
         return cls(np.stack(settings.observable_pairs()))
 
-    def term(self, word: int) -> tuple[np.ndarray, float]:
-        """Kronecker product of the factors a setting word picks (party 0
-        leftmost) and its spectral norm, the product of theirs."""
+    def _bits(self, word: int) -> list[int]:
         n = len(self.observables)
-        out, norm = np.array([[1.0 + 0.0j]]), 1.0
-        for party in range(n):
-            bit = (word >> (n - 1 - party)) & 1
+        return [(word >> (n - 1 - party)) & 1 for party in range(n)]
+
+    def term(self, word: int) -> np.ndarray:
+        """Kronecker product of the factors a setting word picks, party 0
+        leftmost."""
+        out = np.array([[1.0 + 0.0j]])
+        for party, bit in enumerate(self._bits(word)):
             out = kron(out, self.observables[party, bit])
+        return out
+
+    def term_norm(self, word: int) -> float:
+        """Spectral norm of term(word): the product of its factors' norms."""
+        norm = 1.0
+        for party, bit in enumerate(self._bits(word)):
             norm *= float(self.norms[party, bit])
-        return out, norm
+        return norm
 
 
 def correlation_operator(settings: SettingsTable, word: int) -> np.ndarray:
     """Tensor product of the chosen observables for one setting word."""
-    return PartyFactors.from_settings(settings).term(word)[0]
+    return PartyFactors.from_settings(settings).term(word)
 
 
 def correlation_sum(coeffs, factors) -> np.ndarray:
@@ -164,16 +173,24 @@ def correlation_sum(coeffs, factors) -> np.ndarray:
     return out
 
 
+def operator_sum(coeffs, factors) -> np.ndarray:
+    """correlation_sum over square matrix factors, returned as the matrix
+    sum_w c_w kron_p F_p[w_p] with party 0 leftmost.  With no factors it is
+    the 1 x 1 matrix [[c]]."""
+    out = correlation_sum(coeffs, factors)
+    # Axes come out as (row_0, col_0, ..., row_{N-1}, col_{N-1}); the kron
+    # layout puts every row index before every column index.
+    rows_then_cols = list(range(0, out.ndim, 2)) + list(range(1, out.ndim, 2))
+    dim = math.isqrt(out.size)
+    return out.transpose(rows_then_cols).reshape(dim, dim)
+
+
 def _pattern_operator(settings: SettingsTable, pattern: SignPattern) -> np.ndarray:
     n = settings.n_parties
     if pattern.n_parties != n:
         raise ValueError(f"pattern is for {pattern.n_parties} parties, settings for {n}")
     factors = [np.stack(pair) for pair in settings.observable_pairs()]
-    out = correlation_sum(np.asarray(pattern.coeffs, dtype=np.float64), factors)
-    # Axes come out as (row_0, col_0, ..., row_{N-1}, col_{N-1}); the kron
-    # layout puts every row index before every column index.
-    rows_then_cols = list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2))
-    return out.transpose(rows_then_cols).reshape(2**n, 2**n)
+    return operator_sum(np.asarray(pattern.coeffs, dtype=np.float64), factors)
 
 
 def chsh_operator(settings: SettingsTable) -> InequalityOperator:
@@ -298,7 +315,8 @@ class ChshElement:
     Certified sign vectors always take the form (a, b, b, -a), i.e. one of
     the two CHSH patterns (+,+,+,-) and (+,-,-,-) up to overall sign.
 
-    ``terms`` and ``term_norms`` are built from ``factors`` at construction.
+    ``terms`` (dense 2^N x 2^N, built on first use) and ``term_norms``
+    come from ``factors``; the CLI path never needs the terms.
     """
 
     index: int
@@ -307,13 +325,14 @@ class ChshElement:
     signs: tuple[int, int, int, int]
     factors: PartyFactors
     words: tuple[int, int, int, int]
-    terms: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] = field(init=False)
-    term_norms: tuple[float, float, float, float] = field(init=False)
 
-    def __post_init__(self):
-        terms, norms = zip(*(self.factors.term(w) for w in self.words))
-        object.__setattr__(self, "terms", terms)
-        object.__setattr__(self, "term_norms", norms)
+    @cached_property
+    def terms(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        return tuple(self.factors.term(w) for w in self.words)
+
+    @property
+    def term_norms(self) -> tuple[float, float, float, float]:
+        return tuple(self.factors.term_norm(w) for w in self.words)
 
     @property
     def sign_variant(self) -> tuple[int, int]:
@@ -334,32 +353,44 @@ class ChshElement:
         return out
 
 
-def _certify_chsh_type(index: int, signs: tuple[int, int, int, int]) -> None:
-    a, b1, b2, d = signs
-    if b1 != b2 or d != -a:
-        raise CertificationError(
-            f"element {index}: sign vector {signs} is not CHSH-type "
-            "(expected the form (a, b, b, -a))"
+def element_signs(pattern: SignPattern | None, n_parties: int) -> np.ndarray:
+    """The certified (2^(N-2), 4) sign vectors of the CHSH-type elements of
+    ``pattern`` (default: the Svetlichny pattern).
+
+    Row u holds the coefficients of the words (u << 2) | (i << 1) | j in
+    (i, j) binary counting order; each must have the form (a, b, b, -a).
+    """
+    if pattern is None:
+        pattern = svetlichny_pattern(n_parties)
+    if pattern.n_parties != n_parties:
+        raise ValueError(
+            f"pattern is for {pattern.n_parties} parties, settings for {n_parties}"
         )
+    signs = np.asarray(pattern.coeffs).reshape(-1, 4)
+    bad = (signs[:, 1] != signs[:, 2]) | (signs[:, 3] != -signs[:, 0])
+    if bad.any():
+        index = int(np.argmax(bad))
+        raise CertificationError(
+            f"element {index}: sign vector {tuple(int(c) for c in signs[index])} "
+            "is not CHSH-type (expected the form (a, b, b, -a))"
+        )
+    return signs
 
 
 def _elements(settings: SettingsTable, pattern: SignPattern | None) -> list[ChshElement]:
     n = settings.n_parties
-    if pattern is None:
-        pattern = svetlichny_pattern(n)
-    if pattern.n_parties != n:
-        raise ValueError(
-            f"pattern is for {pattern.n_parties} parties, settings for {n}"
-        )
+    signs = element_signs(pattern, n)
     grouping = Grouping(tuple(range(n - 1)), (n - 1,))
     factors = PartyFactors.from_settings(settings)
     elements = []
     for prefix in range(2 ** (n - 2)):
-        words = tuple((prefix << 2) | (i << 1) | j for i in (0, 1) for j in (0, 1))
-        signs = tuple(pattern.coeffs[w] for w in words)
-        _certify_chsh_type(prefix, signs)
+        words = tuple(range(4 * prefix, 4 * prefix + 4))
         fixed = tuple((prefix >> (n - 3 - p)) & 1 for p in range(n - 2))
-        elements.append(ChshElement(prefix, grouping, fixed, signs, factors, words))
+        elements.append(
+            ChshElement(
+                prefix, grouping, fixed, tuple(int(c) for c in signs[prefix]), factors, words
+            )
+        )
     return elements
 
 

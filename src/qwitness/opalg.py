@@ -31,6 +31,15 @@ def check_eig_dim(dim: int) -> None:
         raise CapExceededError(f"dimension {dim} exceeds eigensolver cap {MAX_EIG_DIM}")
 
 
+def check_eig_parties(n_parties: int) -> None:
+    """check_eig_dim for N qubits, dimension 2^N.  The party count is compared
+    first, so a huge N is never raised to a power or printed in full."""
+    if n_parties > MAX_EIG_DIM.bit_length() - 1:
+        raise CapExceededError(
+            f"dimension 2^{n_parties} exceeds eigensolver cap {MAX_EIG_DIM}"
+        )
+
+
 class ConvergenceError(RuntimeError):
     """Eigensolver could not certify its result; carries the residual."""
 

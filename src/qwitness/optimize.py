@@ -28,7 +28,7 @@ from .ineq import (
     svetlichny_operator,
     svetlichny_pattern,
 )
-from .opalg import check_eig_dim, hermitian_eigenvalues
+from .opalg import check_eig_parties, hermitian_eigenvalues
 from .qobs import (
     PAULI_X,
     PAULI_Y,
@@ -291,7 +291,7 @@ def _validate_kind(n_parties: int, kind: str) -> None:
         raise ValueError("chsh optimization requires exactly two parties")
     if n_parties < 2:
         raise ValueError("optimization needs at least two parties")
-    check_eig_dim(2**n_parties)
+    check_eig_parties(n_parties)
 
 
 def _build_operator(n_parties: int, kind: str, settings: SettingsTable) -> InequalityOperator:
@@ -357,7 +357,7 @@ def violation_threshold(
         raise ValueError("threshold scans need at least three parties")
     if state_family != "noisy-ghz":
         raise ValueError(f"unsupported state family {state_family!r}")
-    check_eig_dim(2**n_parties)
+    check_eig_parties(n_parties)
     cfg = cfg or OptimizationConfig()
     bound = 2.0 ** (n_parties - 1)
     best = maximize_expectation(n_parties, "svetlichny", ghz_state(n_parties), cfg).best_value

@@ -9,6 +9,23 @@ terms cancel because the grouped observables square to the identity and the
 two effective sides commute.  Summing over all elements gives the total
 witness 4(2^(N-1) I - I_svet), nonnegative in expectation on classical
 states and negative exactly when the Svetlichny inequality is violated.
+
+The identities are checked on the 2x2 Kronecker factors, never on 2^N x 2^N
+matrices.  Write the element's terms as Q_ij = G (x) A_i (x) B_j, with G the
+product of the fixed parties' factors, and S = F^2 for every factor F.  For
+any factors, involutory or not,
+
+    {X, Y} - 4(2I - I_elem) = ab {Q00 - Q11, Q01 + Q10} = ab G^2 (x) M,
+    M = (S_A0 - S_A1) (x) {B0, B1} + {A0, A1} (x) (S_B0 - S_B1),
+
+so an element's Frobenius residual is prod_p ||S_p||_F * ||M||_F, a 4 x 4
+computation.  Summed over the elements the total witness misses its target
+by R = (sum_u c_u (x)_p S_{p,u_p}) (x) M with c_u = a_u b_u, and ||R||_F
+follows from the 2 x 2 Gram matrices of each party's two squares.
+Involutory factors give S = I and M = 0, so the residuals are the exact
+residuals of the computed factors and are often exactly 0.0.  The dense
+construction (witness_pair, element_witness, total_witness) is kept as the
+oracle these formulas are tested against.
 """
 
 from __future__ import annotations
@@ -19,13 +36,15 @@ import numpy as np
 
 from .ineq import (
     ChshElement,
-    InequalityOperator,
+    PartyFactors,
     SignPattern,
-    chsh_element,
+    correlation_sum,
     decompose_svetlichny,
+    element_signs,
+    operator_sum,
     svetlichny_operator,
 )
-from .opalg import anticommutator, frob_distance
+from .opalg import anticommutator, frob_distance, frob_norm
 from .qobs import SettingsTable, expectation
 
 # Identity residual slack scales with dimension, like the hermiticity slack.
@@ -63,34 +82,31 @@ def positivity_bounds(e: ChshElement) -> tuple[float, float]:
     return 2.0 - n00 - n11, 2.0 - n01 - n10
 
 
+def _reject_positivity(index: int, name: str, bound: float) -> None:
+    raise WitnessIdentityError(
+        f"element {index}: {name} is not certified positive semidefinite "
+        f"(norm bound {bound:.3e})"
+    )
+
+
 def witness_pair(e: ChshElement) -> WitnessPair:
-    """Build (X, Y) for a certified CHSH-type element.
+    """Build the dense 2^N x 2^N (X, Y) for a certified CHSH-type element.
 
     Both operators are positive semidefinite since each correlation operator
     has spectrum in [-1, 1]; positivity_bounds certifies this, and a failure
     means some 2x2 factor has norm above 1, so it is no +/-1 observable.
+    Part of the dense oracle; factored_identities certifies every element
+    at once from the same norms.
     """
     a, b = e.sign_variant
     q00, q01, q10, q11 = e.terms
     for name, bound in zip("XY", positivity_bounds(e)):
         if bound < -PSD_TOL:
-            raise WitnessIdentityError(
-                f"element {e.index}: {name} is not certified positive semidefinite "
-                f"(norm bound {bound:.3e})"
-            )
+            _reject_positivity(e.index, name, bound)
     eye = np.eye(q00.shape[0])
     x = 2.0 * eye - a * (q00 - q11)
     y = 2.0 * eye - b * (q01 + q10)
     return WitnessPair(x=x, y=y, sign_variant=(a, b))
-
-
-def _witness_matrix(e: ChshElement) -> tuple[np.ndarray, float]:
-    """Anticommutator of the element's witness pair and its identity residual."""
-    pair = witness_pair(e)
-    q = anticommutator(pair.x, pair.y)
-    dim = q.shape[0]
-    target = 4.0 * (2.0 * np.eye(dim) - e.operator())
-    return q, frob_distance(q, target)
 
 
 def _require_residual(name: str, residual: float, dim: int) -> None:
@@ -102,9 +118,15 @@ def _require_residual(name: str, residual: float, dim: int) -> None:
 
 
 def element_witness(e: ChshElement) -> np.ndarray:
-    """Q_elem = {X, Y}; certified equal to 4(2I - I_elem)."""
-    q, residual = _witness_matrix(e)
-    _require_residual(f"element {e.index}", residual, q.shape[0])
+    """Q_elem = {X, Y}; certified equal to 4(2I - I_elem).
+
+    Dense: the oracle for the element residuals of factored_identities.
+    """
+    pair = witness_pair(e)
+    q = anticommutator(pair.x, pair.y)
+    dim = q.shape[0]
+    target = 4.0 * (2.0 * np.eye(dim) - e.operator())
+    _require_residual(f"element {e.index}", frob_distance(q, target), dim)
     return q
 
 
@@ -120,43 +142,102 @@ def _kahan_sum(mats: list[np.ndarray]) -> np.ndarray:
     return total
 
 
-def witness_identities(
-    settings: SettingsTable, pattern: SignPattern | None = None
-) -> tuple[np.ndarray, InequalityOperator, dict[str, float]]:
-    """Total witness, its inequality operator, and the Frobenius residual of
-    every identity: ``chsh_4e`` (N = 2) or ``element_xi<k>`` per element, and
-    ``total`` for Q_tot = 4(2^(N-1) I - I_op).  Thresholds are the caller's."""
-    n = settings.n_parties
-    if n == 2:
-        elements, keys = [chsh_element(settings, pattern)], ["chsh_4e"]
-    else:
-        elements = decompose_svetlichny(settings, pattern)
-        keys = [f"element_xi{e.index}" for e in elements]
-    # At N = 2 the Svetlichny operator is the CHSH operator.
-    ineq_op = svetlichny_operator(settings, pattern)
+def _prefix_products(values: np.ndarray) -> np.ndarray:
+    """prod_p values[p, u_p] for every fixed-party word u, in binary counting
+    order (party 0 most significant), multiplied left to right."""
+    out = np.ones(1)
+    for row in values:
+        out = np.multiply.outer(out, row).ravel()
+    return out
 
-    residuals: dict[str, float] = {}
-    witnesses = []
-    for key, e in zip(keys, elements):
-        q, residuals[key] = _witness_matrix(e)
-        witnesses.append(q)
-    total = _kahan_sum(witnesses)
-    target = 4.0 * (2.0 ** (n - 1) * np.eye(total.shape[0]) - ineq_op.matrix)
-    residuals["total"] = frob_distance(total, target)
-    return total, ineq_op, residuals
+
+def _certify_positive(norms: np.ndarray) -> None:
+    """positivity_bounds for every element at once, from the (N, 2) factor
+    norms; the first failing element is named, X before Y."""
+    n = len(norms)
+    prefix = _prefix_products(norms[: n - 2])
+    n00, n01, n10, n11 = (prefix * a * b for a in norms[n - 2] for b in norms[n - 1])
+    bounds = np.stack([2.0 - n00 - n11, 2.0 - n01 - n10], axis=1)
+    failed = (bounds < -PSD_TOL).ravel()
+    if failed.any():
+        index, which = divmod(int(np.argmax(failed)), 2)
+        _reject_positivity(index, "XY"[which], float(bounds[index, which]))
+
+
+@dataclass(frozen=True)
+class FactoredIdentities:
+    """Identity defects of the element witnesses, in factored form.
+
+    ``coeffs`` holds c_u = a_u b_u per element, ``squares`` the fixed
+    parties' S_{p,s} = F_{p,s}^2 with shape (N-2, 2, 2, 2), and ``m`` the
+    4 x 4 factor M that every element shares.  ``residuals`` maps
+    ``chsh_4e`` (N = 2) or ``element_xi<k>`` per element, and ``total``, to
+    the Frobenius norms of the defects.
+    """
+
+    coeffs: np.ndarray
+    squares: np.ndarray
+    m: np.ndarray
+    residuals: dict[str, float]
+
+    def total_defect(self) -> np.ndarray:
+        """R = Q_tot - 4(2^(N-1) I - I_op) = (sum_u c_u (x)_p S_{p,u_p}) (x) M,
+        the one 2^N x 2^N matrix of the factored path."""
+        return operator_sum(self.coeffs, [*self.squares, self.m[np.newaxis]])
+
+
+def factored_identities(
+    factors: PartyFactors, pattern: SignPattern | None = None
+) -> FactoredIdentities:
+    """Certify every element and compute every identity residual from the
+    2x2 factors: the sign vectors must be CHSH-type, X and Y must pass the
+    norm certificate, and no 2^N x 2^N matrix is built.  Thresholds are the
+    caller's."""
+    obs = factors.observables
+    n = len(obs)
+    signs = element_signs(pattern, n)
+    _certify_positive(factors.norms)
+
+    squares = obs @ obs
+    (a0, a1), (b0, b1) = obs[n - 2 :]
+    (sa0, sa1), (sb0, sb1) = squares[n - 2 :]
+    m = np.kron(sa0 - sa1, b0 @ b1 + b1 @ b0) + np.kron(a0 @ a1 + a1 @ a0, sb0 - sb1)
+    m_norm = frob_norm(m)
+    fixed = squares[: n - 2]
+
+    element = _prefix_products(np.linalg.norm(fixed, axis=(-2, -1))) * m_norm
+    keys = ["chsh_4e"] if n == 2 else [f"element_xi{k}" for k in range(len(element))]
+    residuals = dict(zip(keys, element.tolist()))
+
+    coeffs = (signs[:, 0] * signs[:, 1]).astype(np.float64)
+    # ||sum_u c_u (x)_p S_{p,u_p}||_F^2 = c^T ((x)_p G_p) c, with G_p the Gram
+    # matrix of party p's two squares.  Writing G_p = L_p L_p^H makes it the
+    # squared 2-norm of one O(N 2^N) correlation_sum, which cannot cancel
+    # below zero.  QR of V^H = [vec S_0, vec S_1] gives G = V V^H = R^H R.
+    flat = np.conj(fixed.reshape(n - 2, 2, 4)).swapaxes(-1, -2)
+    gram_roots = np.conj(np.linalg.qr(flat, mode="r")).swapaxes(-1, -2)
+    prefix_norm = float(np.linalg.norm(correlation_sum(coeffs, gram_roots)))
+    residuals["total"] = prefix_norm * m_norm
+    return FactoredIdentities(coeffs=coeffs, squares=fixed, m=m, residuals=residuals)
 
 
 def total_witness(
     settings: SettingsTable, pattern: SignPattern | None = None
 ) -> np.ndarray:
-    """Q_tot = sum of element witnesses; certified equal to 4(2^(N-1) I - I_svet)."""
-    if settings.n_parties < 3:
+    """Q_tot = sum of element witnesses; certified equal to 4(2^(N-1) I - I_svet).
+
+    Dense, element by element: the oracle for factored_identities.
+    """
+    n = settings.n_parties
+    if n < 3:
         raise ValueError(
             "total_witness needs at least three parties; use the CHSH element for N = 2"
         )
-    total, _, residuals = witness_identities(settings, pattern)
-    for key, residual in residuals.items():
-        _require_residual(key, residual, total.shape[0])
+    elements = decompose_svetlichny(settings, pattern)
+    total = _kahan_sum([element_witness(e) for e in elements])
+    dim = total.shape[0]
+    target = 4.0 * (2.0 ** (n - 1) * np.eye(dim) - svetlichny_operator(settings, pattern).matrix)
+    _require_residual("total", frob_distance(total, target), dim)
     return total
 
 
@@ -187,18 +268,22 @@ def evaluate_witness(
 ) -> WitnessReport:
     """Evaluate the total witness and the inequality operator on a state.
 
-    The negativity flag fires iff the inequality expectation exceeds the
-    classical bound 2^(N-1) by more than NEGATIVITY_MARGIN, equivalently iff
-    the witness value drops below -4 * NEGATIVITY_MARGIN.
+    The witness value is 4(2^(N-1) - <I_svet>) + tr(rho R), with R the
+    factored identity defect, so the only dense matrices are the inequality
+    operator and R.  The negativity flag fires iff the inequality
+    expectation exceeds the classical bound 2^(N-1) by more than
+    NEGATIVITY_MARGIN, equivalently iff the witness value drops below
+    -4 * NEGATIVITY_MARGIN.
     """
     n = settings.n_parties
     dim = 2**n
     if rho.shape != (dim, dim):
         raise ValueError(f"state has shape {rho.shape}, expected {(dim, dim)}")
-    total, ineq_op, residuals = witness_identities(settings, pattern)
+    identities = factored_identities(PartyFactors.from_settings(settings), pattern)
+    ineq_op = svetlichny_operator(settings, pattern)
     bound = float(2 ** (n - 1))
-    value = expectation(total, rho)
     svet_value = expectation(ineq_op.matrix, rho)
+    value = 4.0 * (bound - svet_value) + expectation(identities.total_defect(), rho)
     if abs(value - 4.0 * (bound - svet_value)) > VALUE_CROSSCHECK_TOL:
         raise WitnessIdentityError(
             "witness value and inequality value disagree beyond tolerance"
@@ -210,5 +295,5 @@ def evaluate_witness(
         bound_term=4.0 * bound,
         svet_value=svet_value,
         negative=negative,
-        identity_residuals=residuals,
+        identity_residuals=identities.residuals,
     )

@@ -6,7 +6,8 @@ import pytest
 
 from conftest import SQRT2, planar_settings
 
-from qwitness import cli, ineq, witness
+from qwitness import cli, ineq, opalg, witness
+from qwitness.qobs import random_settings
 
 
 def run_cli(capsys, argv):
@@ -93,6 +94,14 @@ class TestBounds:
         code, report, _ = run_cli(capsys, ["bounds", "--n", "9"])
         assert code == 4
         assert "error" in report["results"]
+
+    @pytest.mark.parametrize("n", [23, 30, 1000000])
+    def test_cap_checked_before_the_pattern_is_built(self, capsys, n):
+        started = time.perf_counter()
+        code, report, _ = run_cli(capsys, ["bounds", "--n", str(n)])
+        assert time.perf_counter() - started < 1.0
+        assert code == 4
+        assert "capped at N = 8" in report["results"]["error"]
 
 
 class TestOptimize:
@@ -302,6 +311,19 @@ class TestEigensolverCap:
     def test_optimize(self, capsys):
         self.exits_four_at_once(capsys, ["optimize", "--n", "9"])
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["optimize", "--n", "1000000"],
+            ["witness", "--n", "1000000", "--optimize"],
+            ["verify", "--n", "1000000", "--random", "1"],
+        ],
+        ids=["optimize", "witness", "verify"],
+    )
+    def test_huge_party_count(self, capsys, argv):
+        # 2^N has over 300000 digits here; the cap compares N itself.
+        self.exits_four_at_once(capsys, argv)
+
 
 class TestIntegerFields:
     @pytest.mark.parametrize(
@@ -339,6 +361,82 @@ class TestIntegerFields:
         assert code == 3
         assert report is None
         assert "random_trials must be at least 1" in err
+
+
+class TestWronglyTypedFields:
+    @pytest.mark.parametrize(
+        "payload, argv",
+        [
+            ({"state": 5}, ["witness", "--n", "3", "--optimize"]),
+            ({"state": 5}, ["contextuality"]),
+            ({"optimizer": [1, 2]}, ["optimize", "--n", "2"]),
+            ({"optimizer": [1, 2]}, ["witness", "--n", "2", "--optimize"]),
+            ({"cycle": 3}, ["contextuality"]),
+        ],
+        ids=[
+            "state-witness",
+            "state-contextuality",
+            "optimizer-optimize",
+            "optimizer-witness",
+            "cycle-contextuality",
+        ],
+    )
+    def test_exits_three_with_one_line(self, capsys, tmp_path, payload, argv):
+        cfg = write_config(tmp_path, payload)
+        code, report, err = run_cli(capsys, [*argv, "--config", cfg])
+        assert code == 3
+        assert report is None
+        assert err.count("\n") == 1
+        assert err.startswith("qwitness: invalid config: ")
+
+
+class TestParserReuse:
+    ARGVS = (
+        ["verify", "--n", "3", "--random", "2", "--seed", "5"],
+        ["bounds", "--n", "3"],
+        ["witness", "--n", "2", "--state", "mixed", "--optimize"],
+    )
+
+    @staticmethod
+    def stdout_without_timing(capsys, argv):
+        cli.main(argv)
+        out = capsys.readouterr().out
+        return [line for line in out.splitlines() if '"wall_time_ms"' not in line]
+
+    def test_repeated_calls_print_identical_reports(self, capsys):
+        assert cli._parser() is cli._parser()
+        first = [self.stdout_without_timing(capsys, argv) for argv in self.ARGVS]
+        with pytest.raises(SystemExit):
+            cli.main(["verify", "--no-such-flag"])
+        capsys.readouterr()
+        second = [self.stdout_without_timing(capsys, argv) for argv in self.ARGVS]
+        assert all(first)
+        assert first == second
+
+
+class TestFactoredPath:
+    """verify and witness never reach the dense per-element construction."""
+
+    def test_dense_witness_path_unused(self, capsys, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense witness path reached")
+
+        monkeypatch.setattr(ineq.PartyFactors, "term", refuse)
+        monkeypatch.setattr(witness, "witness_pair", refuse)
+        for module in (opalg, ineq, witness):
+            monkeypatch.setattr(module, "anticommutator", refuse)
+        code, report, _ = run_cli(capsys, ["verify", "--n", "7", "--random", "2"])
+        assert code == 0 and report["results"]["passed"]
+        table = random_settings(7, np.random.default_rng(8))
+        cfg = write_config(tmp_path, {"settings": table.to_json_dict()})
+        code, report, _ = run_cli(
+            capsys, ["witness", "--n", "7", "--state", "noisy-ghz:0.8", "--config", cfg]
+        )
+        assert code == 0
+        assert set(report["results"]["report"]["identity_residuals"]) == {
+            *(f"element_xi{k}" for k in range(32)),
+            "total",
+        }
 
 
 def flipped_svetlichny_pattern(n):

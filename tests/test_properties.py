@@ -2,8 +2,9 @@
 
 Random +/-1 sign patterns and random measurement settings drive the
 mode-product kernel (ineq.correlation_sum) through the classical bounds, the
-inequality operators and the see-saw optimizer's values and updates, and the
-norm certificate for the witness pairs against dense eigenvalues.  Example
+inequality operators and the see-saw optimizer's values and updates, the
+norm certificate for the witness pairs against dense eigenvalues, and the
+factored identity residuals against the dense anticommutators.  Example
 counts are bounded and derandomized so the suite stays fast and repeatable;
 the explain phase is skipped so that a failing property reports quickly.
 """
@@ -36,7 +37,7 @@ from qwitness.ineq import (
     decompose_svetlichny,
     svetlichny_operator,
 )
-from qwitness.opalg import hermitian_eigenvalues, is_psd
+from qwitness.opalg import anticommutator, frob_distance, hermitian_eigenvalues, is_psd
 from qwitness.optimize import (
     _bloch_array,
     _correlation_tensor,
@@ -49,6 +50,7 @@ from qwitness.qobs import (
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
+    IDENTITY_2,
     BlochVector,
     Grouping,
     SettingsTable,
@@ -62,6 +64,7 @@ from qwitness.witness import (
     PSD_TOL,
     WitnessIdentityError,
     evaluate_witness,
+    factored_identities,
     positivity_bounds,
     witness_pair,
 )
@@ -252,8 +255,10 @@ def dense_xy(e):
     return 2.0 * eye - a * (q00 - q11), 2.0 * eye - b * (q01 + q10)
 
 
-def elements_of(table):
-    return [chsh_element(table)] if table.n_parties == 2 else decompose_svetlichny(table)
+def elements_of(table, pattern=None):
+    if table.n_parties == 2:
+        return [chsh_element(table, pattern)]
+    return decompose_svetlichny(table, pattern)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
@@ -303,3 +308,67 @@ def test_scaled_factor_rejected_naming_x():
     assert not is_psd(dense_xy(e)[0], PSD_TOL)
     with pytest.raises(WitnessIdentityError, match="X is not certified positive semidefinite"):
         witness_pair(e)
+
+
+def chsh_type_patterns(n):
+    """Sign patterns whose every element has the form (a, b, b, -a)."""
+    pairs = st.lists(
+        st.tuples(st.sampled_from((1, -1)), st.sampled_from((1, -1))),
+        min_size=2 ** (n - 2),
+        max_size=2 ** (n - 2),
+    )
+    return pairs.map(
+        lambda ab: SignPattern(n, tuple(c for a, b in ab for c in (a, b, b, -a)))
+    )
+
+
+def contracted_factors(data, table, parties):
+    """The table's factors, each replaced on ``parties`` by a Hermitian
+    non-involution of norm <= 1: Bloch length 1 - delta, or
+    alpha I + beta n.sigma with |alpha| + |beta| <= 1."""
+    observables = PartyFactors.from_settings(table).observables.copy()
+    for p in parties:
+        for s in (0, 1):
+            if data.draw(st.booleans()):
+                observables[p, s] *= 1.0 - data.draw(st.floats(0.0, 0.5))
+            else:
+                alpha = data.draw(st.floats(-1.0, 1.0))
+                beta = (1.0 - abs(alpha)) * data.draw(st.floats(-1.0, 1.0))
+                observables[p, s] = alpha * IDENTITY_2 + beta * observables[p, s]
+    return PartyFactors(observables)
+
+
+def agrees(factored, dense, dim):
+    return abs(factored - dense) <= 1e-12 * dim + 1e-9 * abs(dense)
+
+
+@pytest.mark.parametrize("perturbed", ["all", "last_two", "none"])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+@bounded(5)
+@given(data=st.data())
+def test_factored_identities_equal_dense_anticommutators(n, perturbed, data):
+    table = data.draw(settings_tables(n))
+    pattern = data.draw(chsh_type_patterns(n))
+    parties = {"all": range(n), "last_two": range(n - 2, n), "none": ()}[perturbed]
+    factors = contracted_factors(data, table, parties)
+    identities = factored_identities(factors, pattern)
+
+    dim = 2**n
+    eye = np.eye(dim)
+    elements = [dataclasses.replace(e, factors=factors) for e in elements_of(table, pattern)]
+    keys = ["chsh_4e"] if n == 2 else [f"element_xi{e.index}" for e in elements]
+    total = np.zeros((dim, dim), dtype=np.complex128)
+    target = 2.0 ** (n - 1) * eye.astype(np.complex128)
+    for key, e in zip(keys, elements):
+        pair = witness_pair(e)
+        q = anticommutator(pair.x, pair.y)
+        dense = frob_distance(q, 4.0 * (2.0 * eye - e.operator()))
+        assert agrees(identities.residuals[key], dense, dim)
+        total += q
+        target -= e.operator()
+    defect = total - 4.0 * target
+    assert agrees(identities.residuals["total"], float(np.linalg.norm(defect)), dim)
+
+    rho = data.draw(density_matrices(n))
+    dense_value = expectation(defect, rho)
+    assert agrees(expectation(identities.total_defect(), rho), dense_value, dim)

@@ -5,10 +5,18 @@ import pytest
 
 from conftest import SQRT2, planar_settings
 
-from qwitness.ineq import chsh_element, chsh_operator, decompose_svetlichny, svetlichny_operator
+from qwitness import ineq
+from qwitness.ineq import (
+    PartyFactors,
+    chsh_element,
+    chsh_operator,
+    decompose_svetlichny,
+    svetlichny_operator,
+)
 from qwitness.opalg import anticommutator, frob_distance, is_psd
 from qwitness.qobs import (
     BlochVector,
+    SettingsTable,
     expectation,
     ghz_state,
     maximally_mixed,
@@ -18,6 +26,7 @@ from qwitness.qobs import (
 from qwitness.witness import (
     element_witness,
     evaluate_witness,
+    factored_identities,
     total_witness,
     witness_pair,
 )
@@ -180,3 +189,35 @@ class TestEvaluateWitness:
         assert data["n_parties"] == 3
         assert data["negative"] is True
         assert set(data["identity_residuals"]) == {"element_xi0", "element_xi1", "total"}
+
+
+def pauli_settings(n):
+    """Settings along the x, y and z axes, whose squares are exactly I."""
+    axes = (BlochVector(1.0, 0.0, 0.0), BlochVector(0.0, 1.0, 0.0), BlochVector(0.0, 0.0, 1.0))
+    return SettingsTable(tuple((axes[p % 3], axes[(p + 1) % 3]) for p in range(n)))
+
+
+class TestFactoredIdentities:
+    def test_exact_involutions_give_zero_residuals(self):
+        for n in (2, 3, 5):
+            identities = factored_identities(PartyFactors.from_settings(pauli_settings(n)))
+            assert set(identities.residuals.values()) == {0.0}
+            report = evaluate_witness(pauli_settings(n), ghz_state(n))
+            assert set(report.identity_residuals.values()) == {0.0}
+
+    def test_total_defect_is_the_dense_defect(self):
+        rng = np.random.default_rng(55)
+        table = random_settings(4, rng)
+        target = 4.0 * (8.0 * np.eye(16) - svetlichny_operator(table).matrix)
+        defect = factored_identities(PartyFactors.from_settings(table)).total_defect()
+        assert frob_distance(defect, total_witness(table) - target) < 1e-12
+
+    def test_decomposition_builds_terms_on_first_use(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("kron called")
+
+        monkeypatch.setattr(ineq, "kron", refuse)
+        elements = decompose_svetlichny(random_settings(4, np.random.default_rng(56)))
+        assert len(elements) == 4
+        with pytest.raises(AssertionError, match="kron called"):
+            elements[0].terms

@@ -189,10 +189,13 @@ def cmd_verify(cfg: dict) -> tuple[dict, int]:
     check_eig_parties(n)
     given = _settings_from_cfg(cfg, n)
     if given is not None:
-        tables = [given]
+        trials, tables = 1, [given]
     elif cfg.get("random_trials"):
+        # Drawn one at a time as the loop below needs them, so memory does
+        # not grow with K; the stream and so the tables are unchanged.
         rng = Lcg64(cfg["seed"])
-        tables = [rng.settings(n) for _ in range(cfg["random_trials"])]
+        trials = cfg["random_trials"]
+        tables = (rng.settings(n) for _ in range(trials))
     else:
         raise ConfigError("verify needs a settings table or --random K")
 
@@ -224,7 +227,7 @@ def cmd_verify(cfg: dict) -> tuple[dict, int]:
     passed = failed_identity is None and all(v <= tol for v in residuals.values())
     results = {
         "n_parties": n,
-        "trials": len(tables),
+        "trials": trials,
         "residuals": residuals,
         "thresholds": dict.fromkeys(residuals, tol),
         "passed": passed,

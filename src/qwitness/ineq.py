@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -28,7 +28,7 @@ from .opalg import (
     is_psd,
     kron,
 )
-from .qobs import IDENTITY_2, BlochVector, Grouping, SettingsTable
+from .qobs import IDENTITY_2, BlochVector, Grouping, SettingsTable, real_trace
 
 COMPATIBILITY_TOL = 1e-10
 CYCLE_PSD_TOL = 1e-9
@@ -85,7 +85,10 @@ class SignPattern:
         return cls(int(data["n"]), tuple(data["coeffs"]))
 
 
+@cache
 def svetlichny_pattern(n_parties: int) -> SignPattern:
+    """The Svetlichny signs, built once per party count (a SignPattern is
+    immutable, so every caller may share it)."""
     return SignPattern(
         n_parties, tuple(svetlichny_sign(w) for w in range(2**n_parties))
     )
@@ -144,6 +147,12 @@ class PartyFactors:
             norm *= float(self.norms[party, bit])
         return norm
 
+    def expectation(self, coeffs, rho: np.ndarray) -> float:
+        """Re tr(rho sum_w c_w term(w)) with no term built: tr(rho term(w))
+        for every word w is one state_sum against the factor tables."""
+        words = state_sum(rho, list(trace_table(self.observables))).reshape(-1)
+        return real_trace(np.dot(coeffs, words))
+
 
 def correlation_operator(settings: SettingsTable, word: int) -> np.ndarray:
     """Tensor product of the chosen observables for one setting word."""
@@ -165,12 +174,43 @@ def correlation_sum(coeffs, factors) -> np.ndarray:
     party's factor at a time, so the cost is O(N * size of the result)
     instead of 2^N products of that size.
     """
-    out = np.asarray(coeffs).reshape([len(factor) for factor in factors])
+    factors = [np.asarray(factor) for factor in factors]
+    out = np.asarray(coeffs)
     for factor in factors:
-        # Contracts the leading setting axis and appends the party's axes
-        # last, so after N steps the parties sit in order 0..N-1.
-        out = np.tensordot(out, factor, axes=(0, 0))
-    return out
+        # One matrix product contracts the leading setting axis and appends
+        # the party's axes last, so after N steps the parties sit in order
+        # 0..N-1.
+        m = len(factor)
+        out = out.reshape(m, -1).T @ factor.reshape(m, -1)
+    return out.reshape([size for factor in factors for size in factor.shape[1:]])
+
+
+def trace_table(factors) -> np.ndarray:
+    """Square factors F[..., s, :, :] of size d laid out for state_sum: the
+    (..., d^2, m) table whose row d r + c holds F[..., :, c, r], so that
+    summing rho[r, c] against it gives tr(rho F[s]) for every s."""
+    factors = np.asarray(factors)
+    m, d = factors.shape[-3], factors.shape[-1]
+    return factors.swapaxes(-1, -3).reshape(*factors.shape[:-3], d * d, m)
+
+
+def state_sum(rho: np.ndarray, tables) -> np.ndarray:
+    """correlation_sum of a density matrix against one table per party.
+
+    ``tables[p]`` has shape (d_p^2, *s_p) with prod_p d_p the dimension of
+    ``rho``, party 0 leftmost; row d_p r + c belongs to party p's (row,
+    column) index pair (r, c).  With the tables of trace_table(F_p), entry
+    [i_0, ..., i_{N-1}] is tr(rho (x)_p F_p[i_p]).  No array of rho's size
+    is formed besides rho's reordered copy, and for tables of width 2 or 3
+    the cost is O(d^2) with d the dimension of rho.
+    """
+    dims = [math.isqrt(len(table)) for table in tables]
+    n = len(dims)
+    # (row_0..row_{N-1}, col_0..col_{N-1}) -> (row_0, col_0, row_1, col_1, ...)
+    pairs = np.asarray(rho).reshape(dims * 2).transpose(
+        [axis for p in range(n) for axis in (p, n + p)]
+    )
+    return correlation_sum(pairs, tables)
 
 
 def operator_sum(coeffs, factors) -> np.ndarray:

@@ -25,8 +25,10 @@ from .ineq import (
     InequalityOperator,
     chsh_operator,
     correlation_sum,
+    state_sum,
     svetlichny_operator,
     svetlichny_pattern,
+    trace_table,
 )
 from .opalg import check_eig_parties, hermitian_eigenvalues
 from .qobs import (
@@ -43,10 +45,9 @@ SWEEP_IMPROVEMENT_TOL = 1e-10
 
 INEQUALITY_KINDS = ("chsh", "svetlichny")
 
-# Row 2r + c, column k holds sigma_k[c, r] for k = x, y, z: contracting a
-# party's (row, column) index pair of a density matrix with it gives the
-# trace against that party's Pauli matrices.
-_PAULI_TABLE = np.stack([PAULI_X, PAULI_Y, PAULI_Z], axis=-1).transpose(1, 0, 2).reshape(4, 3)
+# The state_sum table of sigma_x, sigma_y, sigma_z: row 2r + c, column k
+# holds sigma_k[c, r].
+_PAULI_TABLE = trace_table(np.stack([PAULI_X, PAULI_Y, PAULI_Z]))
 _SETTING_IDENTITY = np.eye(2)
 
 
@@ -181,11 +182,7 @@ def _correlation_tensor(rho: np.ndarray) -> np.ndarray:
     """T[k_0, ..., k_{N-1}] = Re tr(rho sigma_k0 x ... x sigma_k{N-1}) for
     k_p in (x, y, z)."""
     n = rho.shape[0].bit_length() - 1
-    # (row_0..row_{N-1}, col_0..col_{N-1}) -> (row_0, col_0, row_1, col_1, ...)
-    pairs = np.asarray(rho).reshape((2,) * (2 * n)).transpose(
-        [axis for p in range(n) for axis in (p, n + p)]
-    )
-    return correlation_sum(pairs, [_PAULI_TABLE] * n).real
+    return state_sum(rho, [_PAULI_TABLE] * n).real
 
 
 def _value(coeffs: np.ndarray, bloch: np.ndarray, corr: np.ndarray) -> float:

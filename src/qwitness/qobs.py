@@ -209,17 +209,24 @@ def noisy_mixture(rho: np.ndarray, v: float) -> np.ndarray:
     return v * rho + (1.0 - v) * np.eye(dim) / dim
 
 
-def expectation(op: np.ndarray, rho: np.ndarray) -> float:
-    """Re tr(op . rho) for a Hermitian operator.
+def real_trace(tr) -> float:
+    """The real part of a trace that must be real.
 
-    A non-real trace signals a non-Hermitian operator bug and is rejected.
+    A trace against a Hermitian operator is real, so an imaginary part
+    signals a non-Hermitian operator bug and is rejected.
     """
+    tr = complex(tr)
+    if abs(tr.imag) > 1e-10:
+        raise ValueError(f"expectation has imaginary part {tr.imag:.3e}")
+    return float(tr.real)
+
+
+def expectation(op: np.ndarray, rho: np.ndarray) -> float:
+    """Re tr(op . rho) for a Hermitian operator, in O(d^2): the trace of a
+    product is sum_ij op[i, j] rho[j, i], so the product is never formed."""
     if op.shape != rho.shape:
         raise ValueError(f"dimension mismatch: {op.shape} vs {rho.shape}")
     dim = op.shape[0]
     if hermiticity_defect(op) > 1e-10 * dim:
         raise ValueError("operator must be Hermitian")
-    tr = complex(np.trace(op @ rho))
-    if abs(tr.imag) > 1e-10:
-        raise ValueError(f"expectation has imaginary part {tr.imag:.3e}")
-    return float(tr.real)
+    return real_trace(np.einsum("ij,ji->", op, rho))

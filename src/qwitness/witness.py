@@ -23,9 +23,15 @@ computation.  Summed over the elements the total witness misses its target
 by R = (sum_u c_u (x)_p S_{p,u_p}) (x) M with c_u = a_u b_u, and ||R||_F
 follows from the 2 x 2 Gram matrices of each party's two squares.
 Involutory factors give S = I and M = 0, so the residuals are the exact
-residuals of the computed factors and are often exactly 0.0.  The dense
-construction (witness_pair, element_witness, total_witness) is kept as the
-oracle these formulas are tested against.
+residuals of the computed factors and are often exactly 0.0.
+
+State values come from the same factors.  The witness value on rho is
+4(2^(N-1) - <I_svet>) + tr(rho R); both traces are one state_sum of rho
+against per-party factor tables (the F_p for <I_svet>, the S_p and M for
+tr(rho R)), so rho is the only 2^N x 2^N array evaluate_witness touches.
+The dense construction (witness_pair, element_witness, total_witness,
+svetlichny_operator with qobs.expectation) is kept as the oracle these
+formulas are tested against.
 """
 
 from __future__ import annotations
@@ -42,10 +48,12 @@ from .ineq import (
     decompose_svetlichny,
     element_signs,
     operator_sum,
+    state_sum,
     svetlichny_operator,
+    trace_table,
 )
 from .opalg import anticommutator, frob_distance, frob_norm
-from .qobs import SettingsTable, expectation
+from .qobs import SettingsTable, real_trace
 
 # Identity residual slack scales with dimension, like the hermiticity slack.
 ELEMENT_RESIDUAL_TOL = 1e-11
@@ -168,22 +176,31 @@ def _certify_positive(norms: np.ndarray) -> None:
 class FactoredIdentities:
     """Identity defects of the element witnesses, in factored form.
 
-    ``coeffs`` holds c_u = a_u b_u per element, ``squares`` the fixed
-    parties' S_{p,s} = F_{p,s}^2 with shape (N-2, 2, 2, 2), and ``m`` the
-    4 x 4 factor M that every element shares.  ``residuals`` maps
-    ``chsh_4e`` (N = 2) or ``element_xi<k>`` per element, and ``total``, to
-    the Frobenius norms of the defects.
+    ``signs`` holds the certified (2^(N-2), 4) sign vectors (the pattern's
+    coefficients in word order), ``coeffs`` c_u = a_u b_u per element,
+    ``squares`` the fixed parties' S_{p,s} = F_{p,s}^2 with shape
+    (N-2, 2, 2, 2), and ``m`` the 4 x 4 factor M that every element shares.
+    ``residuals`` maps ``chsh_4e`` (N = 2) or ``element_xi<k>`` per element,
+    and ``total``, to the Frobenius norms of the defects.
     """
 
+    signs: np.ndarray
     coeffs: np.ndarray
     squares: np.ndarray
     m: np.ndarray
     residuals: dict[str, float]
 
     def total_defect(self) -> np.ndarray:
-        """R = Q_tot - 4(2^(N-1) I - I_op) = (sum_u c_u (x)_p S_{p,u_p}) (x) M,
-        the one 2^N x 2^N matrix of the factored path."""
+        """R = Q_tot - 4(2^(N-1) I - I_op) = (sum_u c_u (x)_p S_{p,u_p}) (x) M
+        as a dense 2^N x 2^N matrix, for tests."""
         return operator_sum(self.coeffs, [*self.squares, self.m[np.newaxis]])
+
+    def defect_expectation(self, rho: np.ndarray) -> float:
+        """tr(rho R) with R never built: one state_sum against the squares'
+        tables for the fixed parties and M's 16 x 1 table for the last two,
+        which act on rho as one party of dimension 4."""
+        tables = [*trace_table(self.squares), trace_table(self.m[np.newaxis])]
+        return real_trace(np.dot(self.coeffs, state_sum(rho, tables).reshape(-1)))
 
 
 def factored_identities(
@@ -218,7 +235,9 @@ def factored_identities(
     gram_roots = np.conj(np.linalg.qr(flat, mode="r")).swapaxes(-1, -2)
     prefix_norm = float(np.linalg.norm(correlation_sum(coeffs, gram_roots)))
     residuals["total"] = prefix_norm * m_norm
-    return FactoredIdentities(coeffs=coeffs, squares=fixed, m=m, residuals=residuals)
+    return FactoredIdentities(
+        signs=signs, coeffs=coeffs, squares=fixed, m=m, residuals=residuals
+    )
 
 
 def total_witness(
@@ -266,12 +285,14 @@ class WitnessReport:
 def evaluate_witness(
     settings: SettingsTable, rho: np.ndarray, pattern: SignPattern | None = None
 ) -> WitnessReport:
-    """Evaluate the total witness and the inequality operator on a state.
+    """Evaluate the total witness and the inequality on a state.
 
     The witness value is 4(2^(N-1) - <I_svet>) + tr(rho R), with R the
-    factored identity defect, so the only dense matrices are the inequality
-    operator and R.  The negativity flag fires iff the inequality
-    expectation exceeds the classical bound 2^(N-1) by more than
+    factored identity defect.  Both traces come from the 2x2 factors
+    (PartyFactors.expectation, FactoredIdentities.defect_expectation): no
+    2^N x 2^N operator is built and no 2^N x 2^N product is taken, so rho is
+    the only array of that size.  The negativity flag fires iff the
+    inequality expectation exceeds the classical bound 2^(N-1) by more than
     NEGATIVITY_MARGIN, equivalently iff the witness value drops below
     -4 * NEGATIVITY_MARGIN.
     """
@@ -279,11 +300,11 @@ def evaluate_witness(
     dim = 2**n
     if rho.shape != (dim, dim):
         raise ValueError(f"state has shape {rho.shape}, expected {(dim, dim)}")
-    identities = factored_identities(PartyFactors.from_settings(settings), pattern)
-    ineq_op = svetlichny_operator(settings, pattern)
+    factors = PartyFactors.from_settings(settings)
+    identities = factored_identities(factors, pattern)
     bound = float(2 ** (n - 1))
-    svet_value = expectation(ineq_op.matrix, rho)
-    value = 4.0 * (bound - svet_value) + expectation(identities.total_defect(), rho)
+    svet_value = factors.expectation(identities.signs.reshape(-1), rho)
+    value = 4.0 * (bound - svet_value) + identities.defect_expectation(rho)
     if abs(value - 4.0 * (bound - svet_value)) > VALUE_CROSSCHECK_TOL:
         raise WitnessIdentityError(
             "witness value and inequality value disagree beyond tolerance"

@@ -1,5 +1,5 @@
 """Shared test helpers: analytic optimal settings, random unitaries,
-random compatible 4-cycles, and small brute-force oracles."""
+random compatible 4-cycles, and small brute-force and kernel oracles."""
 
 from __future__ import annotations
 
@@ -61,6 +61,15 @@ def random_compatible_cycle(rng: np.random.Generator):
     u = random_unitary(4, rng)
     ud = u.conj().T
     return tuple(u @ m @ ud for m in (a, b, c, d))
+
+
+def correlation_sum_tensordot(coeffs, factors) -> np.ndarray:
+    """The mode-product kernel as one np.tensordot per party: the oracle
+    for ineq.correlation_sum, which must equal it exactly."""
+    out = np.asarray(coeffs).reshape([len(factor) for factor in factors])
+    for factor in factors:
+        out = np.tensordot(out, factor, axes=(0, 0))
+    return out
 
 
 def kron_loops(a: np.ndarray, b: np.ndarray) -> np.ndarray:

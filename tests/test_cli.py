@@ -1,12 +1,14 @@
+import gc
 import json
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from conftest import SQRT2, planar_settings
 
-from qwitness import cli, ineq, opalg, witness
+from qwitness import cli, ineq, opalg, qobs, witness
 from qwitness.qobs import random_settings
 
 
@@ -59,6 +61,43 @@ class TestVerify:
         failed = report["results"]["failed_identity"]
         assert failed["name"] == "chsh_type_certification"
         assert report["results"]["passed"] is False
+        assert report["results"]["trials"] == 2
+
+    def test_corrupt_sign_checked_before_any_draw(self, capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("settings drawn")
+
+        monkeypatch.setattr(cli.Lcg64, "settings", refuse)
+        code, report, err = run_cli(
+            capsys, ["verify", "--n", "3", "--random", "5", "--corrupt-sign", "8"]
+        )
+        assert code == 3
+        assert report is None
+        assert "corrupt-sign index 8 out of range" in err
+
+    def test_random_tables_do_not_accumulate(self):
+        def peak(k):
+            tracemalloc.start()
+            try:
+                _, code = cli.cmd_verify({"n_parties": 3, "seed": 5, "random_trials": k})
+                assert code == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        was_enabled = gc.isenabled()
+        # A full collection empties the interpreter's free lists, and their
+        # refill would show as a one-time rise; the warm-up fills them.
+        gc.disable()
+        try:
+            cli.cmd_verify({"n_parties": 3, "seed": 5, "random_trials": 2000})
+            small, large = peak(20), peak(2000)
+        finally:
+            if was_enabled:
+                gc.enable()
+        # One three-party settings table takes about 1.3 kB, so this fails
+        # if even one drawn table outlives its check.
+        assert large <= small + 1024
 
     def test_requires_settings_or_random(self, capsys):
         code, report, err = run_cli(capsys, ["verify", "--n", "3"])
@@ -437,6 +476,23 @@ class TestFactoredPath:
             *(f"element_xi{k}" for k in range(32)),
             "total",
         }
+
+    def test_witness_builds_no_dense_operator(self, capsys, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense operator path reached")
+
+        for module in (ineq, witness):
+            monkeypatch.setattr(module, "svetlichny_operator", refuse)
+            monkeypatch.setattr(module, "operator_sum", refuse)
+        for module in (qobs, cli):
+            monkeypatch.setattr(module, "expectation", refuse)
+        table = random_settings(7, np.random.default_rng(9))
+        cfg = write_config(tmp_path, {"settings": table.to_json_dict()})
+        code, report, _ = run_cli(
+            capsys, ["witness", "--n", "7", "--state", "noisy-ghz:0.8", "--config", cfg]
+        )
+        assert code == 0
+        assert report["results"]["report"]["negative"] is False
 
 
 def flipped_svetlichny_pattern(n):

@@ -3,10 +3,12 @@
 Random +/-1 sign patterns and random measurement settings drive the
 mode-product kernel (ineq.correlation_sum) through the classical bounds, the
 inequality operators and the see-saw optimizer's values and updates, the
-norm certificate for the witness pairs against dense eigenvalues, and the
-factored identity residuals against the dense anticommutators.  Example
-counts are bounded and derandomized so the suite stays fast and repeatable;
-the explain phase is skipped so that a failing property reports quickly.
+norm certificate for the witness pairs against dense eigenvalues, the
+factored identity residuals and state values against the dense
+anticommutators and expectations, and the kernel itself against its
+np.tensordot oracle.  Example counts are bounded and derandomized so the
+suite stays fast and repeatable; the explain phase is skipped so that a
+failing property reports quickly.
 """
 
 import dataclasses
@@ -18,7 +20,7 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from conftest import first_max_hybrid, first_max_lhv
+from conftest import correlation_sum_tensordot, first_max_hybrid, first_max_lhv
 from qwitness import cli
 from qwitness.classical import (
     DeterministicStrategy,
@@ -342,6 +344,26 @@ def agrees(factored, dense, dim):
     return abs(factored - dense) <= 1e-12 * dim + 1e-9 * abs(dense)
 
 
+def dense_witness_defects(table, pattern, factors):
+    """The dense anticommutator construction on ``factors``: each element's
+    Frobenius residual, in element order, and the total defect matrix
+    Q_tot - 4(2^(N-1) I - I_op)."""
+    n = table.n_parties
+    dim = 2**n
+    eye = np.eye(dim)
+    elements = [dataclasses.replace(e, factors=factors) for e in elements_of(table, pattern)]
+    residuals = []
+    total = np.zeros((dim, dim), dtype=np.complex128)
+    target = 2.0 ** (n - 1) * eye.astype(np.complex128)
+    for e in elements:
+        pair = witness_pair(e)
+        q = anticommutator(pair.x, pair.y)
+        residuals.append(frob_distance(q, 4.0 * (2.0 * eye - e.operator())))
+        total += q
+        target -= e.operator()
+    return residuals, total - 4.0 * target
+
+
 @pytest.mark.parametrize("perturbed", ["all", "last_two", "none"])
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 @bounded(5)
@@ -354,21 +376,101 @@ def test_factored_identities_equal_dense_anticommutators(n, perturbed, data):
     identities = factored_identities(factors, pattern)
 
     dim = 2**n
-    eye = np.eye(dim)
-    elements = [dataclasses.replace(e, factors=factors) for e in elements_of(table, pattern)]
-    keys = ["chsh_4e"] if n == 2 else [f"element_xi{e.index}" for e in elements]
-    total = np.zeros((dim, dim), dtype=np.complex128)
-    target = 2.0 ** (n - 1) * eye.astype(np.complex128)
-    for key, e in zip(keys, elements):
-        pair = witness_pair(e)
-        q = anticommutator(pair.x, pair.y)
-        dense = frob_distance(q, 4.0 * (2.0 * eye - e.operator()))
+    residuals, defect = dense_witness_defects(table, pattern, factors)
+    keys = ["chsh_4e"] if n == 2 else [f"element_xi{k}" for k in range(len(residuals))]
+    for key, dense in zip(keys, residuals):
         assert agrees(identities.residuals[key], dense, dim)
-        total += q
-        target -= e.operator()
-    defect = total - 4.0 * target
     assert agrees(identities.residuals["total"], float(np.linalg.norm(defect)), dim)
 
     rho = data.draw(density_matrices(n))
     dense_value = expectation(defect, rho)
     assert agrees(expectation(identities.total_defect(), rho), dense_value, dim)
+
+
+@pytest.mark.parametrize("perturbed", ["all", "last_two", "none"])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+@bounded(4)
+@given(data=st.data())
+def test_factored_state_values_equal_dense_expectation(n, perturbed, data):
+    # The two traces evaluate_witness takes from the factors: <I> and tr(rho R).
+    table = data.draw(settings_tables(n))
+    pattern = data.draw(chsh_type_patterns(n))
+    parties = {"all": range(n), "last_two": range(n - 2, n), "none": ()}[perturbed]
+    factors = contracted_factors(data, table, parties)
+    identities = factored_identities(factors, pattern)
+    inequality = sum(c * factors.term(w) for w, c in enumerate(pattern.coeffs))
+    _, defect = dense_witness_defects(table, pattern, factors)
+    states = (
+        ghz_state(n),
+        product_state(data.draw(st.lists(unit_vectors, min_size=n, max_size=n))),
+        data.draw(density_matrices(n)),
+    )
+    for rho in states:
+        value = factors.expectation(identities.signs.reshape(-1), rho)
+        assert abs(value - expectation(inequality, rho)) <= OPERATOR_TOL
+        assert abs(identities.defect_expectation(rho) - expectation(defect, rho)) <= OPERATOR_TOL
+
+
+KERNEL_DTYPES = (np.int64, np.float64, np.complex128)
+
+
+def _kernel_operand(rng, shape, dtype):
+    if dtype is np.int64:
+        return rng.integers(-3, 4, size=shape)
+    out = rng.standard_normal(shape)
+    return out + 1j * rng.standard_normal(shape) if dtype is np.complex128 else out
+
+
+# Factor shapes as the callers pass them: the LHV outcome table (2, 4), the
+# 2x2 operators (2, 2, 2) and (1, 4, 4), Gram roots (2, 2), Bloch rows
+# (2, 3), and the state_sum tables (4, 2), (4, 3) and (16, 1).
+KERNEL_CALLER_SHAPES = [
+    [],
+    [(2, 4)] * 5,
+    [(2, 2, 2)] * 4,
+    [(2, 2, 2), (2, 2, 2), (1, 4, 4)],
+    [(2, 2)] * 6,
+    [(2, 3), (2, 2), (2, 3), (2, 3)],
+    [(4, 2)] * 5,
+    [(4, 3)] * 3,
+    [(16, 1)],
+    [(4, 2), (4, 2), (16, 1)],
+    [(2, 3), (16, 2, 2), (4,), (2, 1, 2)],
+]
+
+
+def _shape_id(shapes):
+    return "x".join("-".join(map(str, s)) for s in shapes) or "no_factors"
+
+
+def _kernel_cases(shapes, seed):
+    rng = np.random.default_rng(seed)
+    for coeff_dtype, factor_dtype in itertools.product(KERNEL_DTYPES, repeat=2):
+        coeffs = _kernel_operand(rng, math.prod(s[0] for s in shapes), coeff_dtype)
+        yield coeffs, [_kernel_operand(rng, s, factor_dtype) for s in shapes]
+
+
+@pytest.mark.parametrize("shapes", KERNEL_CALLER_SHAPES, ids=_shape_id)
+def test_kernel_matches_tensordot_oracle(shapes):
+    # The matmul loop and np.tensordot hand BLAS the same products, so the
+    # results must be bit-identical, not merely close.
+    for coeffs, factors in _kernel_cases(shapes, len(shapes)):
+        fast = correlation_sum(coeffs, factors)
+        oracle = correlation_sum_tensordot(coeffs, factors)
+        assert fast.shape == oracle.shape and fast.dtype == oracle.dtype
+        assert np.array_equal(fast, oracle)
+
+
+@pytest.mark.parametrize("shapes", [[(2,)] * 3, [(4,)] * 2, [(2, 1)] * 3], ids=_shape_id)
+def test_kernel_vector_factors_within_rounding(shapes):
+    # With factors of width 1 each step is a matrix-vector product, and
+    # BLAS may pick another routine for the transposed view than for
+    # tensordot's copy, so only the rounding bound of the sum is required.
+    # No caller passes such factors.
+    eps = np.finfo(np.float64).eps
+    for coeffs, factors in _kernel_cases(shapes, len(shapes)):
+        fast = correlation_sum(coeffs, factors)
+        oracle = correlation_sum_tensordot(coeffs, factors)
+        scale = correlation_sum_tensordot(np.abs(coeffs), [np.abs(f) for f in factors])
+        assert fast.shape == oracle.shape and fast.dtype == oracle.dtype
+        assert np.all(np.abs(fast - oracle) <= 4 * len(shapes) * eps * scale)

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from conftest import SQRT2
+from conftest import SQRT2, random_hermitian
 
 from qwitness.opalg import commutator, frob_norm, hermitian_eigenvalues, kron
 from qwitness.qobs import (
     IDENTITY_2,
     PAULI_X,
+    PAULI_Y,
     PAULI_Z,
     BlochVector,
     Grouping,
@@ -211,6 +212,20 @@ class TestExpectation:
         bad = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
         with pytest.raises(ValueError, match="Hermitian"):
             expectation(bad, maximally_mixed(1))
+
+    def test_equals_trace_of_product(self):
+        rng = np.random.default_rng(21)
+        for dim in (2, 8, 32):
+            op = random_hermitian(dim, rng)
+            a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+            rho = a @ a.conj().T
+            assert abs(expectation(op, rho) - np.trace(op @ rho).real) <= 1e-12 * np.abs(rho).sum()
+
+    def test_imaginary_trace_rejected(self):
+        # A Hermitian operator against a non-Hermitian "state": tr = 1j.
+        not_a_state = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+        with pytest.raises(ValueError, match="imaginary part"):
+            expectation(PAULI_Y, not_a_state)
 
 
 class TestSettingsTable:

@@ -159,6 +159,20 @@ class TestEvaluateWitness:
             bound = 2.0 ** (n - 1)
             assert abs(report.value - 4.0 * (bound - report.svet_value)) < 1e-9
 
+    def test_values_equal_dense_oracle_on_complex_states(self):
+        # A random complex state is not symmetric, so a transposed state or
+        # factor table would change both values.
+        rng = np.random.default_rng(57)
+        for n in (3, 4, 5):
+            table = random_settings(n, rng)
+            a = rng.standard_normal((2**n, 2**n)) + 1j * rng.standard_normal((2**n, 2**n))
+            rho = a @ a.conj().T
+            rho /= np.trace(rho).real
+            report = evaluate_witness(table, rho)
+            dense_svet = expectation(svetlichny_operator(table).matrix, rho)
+            assert abs(report.svet_value - dense_svet) < 1e-12
+            assert abs(report.value - expectation(total_witness(table), rho)) < 1e-12
+
     def test_residual_keys(self):
         rng = np.random.default_rng(54)
         report3 = evaluate_witness(random_settings(3, rng), maximally_mixed(3))

@@ -30,6 +30,7 @@ from .classical import (
     noncontextual_bound,
 )
 from .ineq import (
+    COMPATIBILITY_TOL,
     CYCLE_PSD_TOL,
     CertificationError,
     PartyFactors,
@@ -118,6 +119,9 @@ def _complex_matrix(data) -> np.ndarray:
     m = np.array(rows, dtype=np.complex128)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ConfigError(f"matrix must be square, got shape {m.shape}")
+    # JSON configs may hold NaN or Infinity.
+    if not np.isfinite(m).all():
+        raise ConfigError("matrix entries must be finite")
     return m
 
 
@@ -356,7 +360,7 @@ def cmd_contextuality(cfg: dict) -> tuple[dict, int]:
     passed = (
         all(v <= EXACT_IDENTITY_TOL for v in residuals.values())
         and all(v >= -CYCLE_PSD_TOL for v in min_eigs.values())
-        and all(v <= 1e-10 for v in pair_norms.values())
+        and all(v <= COMPATIBILITY_TOL for v in pair_norms.values())
     )
     results = {
         "compatibility_norms": pair_norms,

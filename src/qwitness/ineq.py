@@ -28,7 +28,14 @@ from .opalg import (
     is_psd,
     kron,
 )
-from .qobs import IDENTITY_2, BlochVector, Grouping, SettingsTable, real_trace
+from .qobs import (
+    IDENTITY_2,
+    BlochVector,
+    Grouping,
+    SettingsTable,
+    pauli_factors,
+    real_trace,
+)
 
 COMPATIBILITY_TOL = 1e-10
 CYCLE_PSD_TOL = 1e-9
@@ -126,7 +133,7 @@ class PartyFactors:
 
     @classmethod
     def from_settings(cls, settings: SettingsTable) -> "PartyFactors":
-        return cls(np.stack(settings.observable_pairs()))
+        return cls(pauli_factors(settings.bloch))
 
     def _bits(self, word: int) -> list[int]:
         n = len(self.observables)
@@ -229,8 +236,9 @@ def _pattern_operator(settings: SettingsTable, pattern: SignPattern) -> np.ndarr
     n = settings.n_parties
     if pattern.n_parties != n:
         raise ValueError(f"pattern is for {pattern.n_parties} parties, settings for {n}")
-    factors = [np.stack(pair) for pair in settings.observable_pairs()]
-    return operator_sum(np.asarray(pattern.coeffs, dtype=np.float64), factors)
+    return operator_sum(
+        np.asarray(pattern.coeffs, dtype=np.float64), pauli_factors(settings.bloch)
+    )
 
 
 def chsh_operator(settings: SettingsTable) -> InequalityOperator:

@@ -23,8 +23,8 @@ import numpy as np
 
 from .ineq import (
     InequalityOperator,
-    chsh_operator,
     correlation_sum,
+    operator_sum,
     state_sum,
     svetlichny_operator,
     svetlichny_pattern,
@@ -32,13 +32,12 @@ from .ineq import (
 )
 from .opalg import check_eig_parties, hermitian_eigenvalues
 from .qobs import (
-    PAULI_X,
-    PAULI_Y,
-    PAULI_Z,
+    PAULIS,
     BlochVector,
     SettingsTable,
     expectation,
     ghz_state,
+    pauli_factors,
 )
 
 SWEEP_IMPROVEMENT_TOL = 1e-10
@@ -47,7 +46,7 @@ INEQUALITY_KINDS = ("chsh", "svetlichny")
 
 # The state_sum table of sigma_x, sigma_y, sigma_z: row 2r + c, column k
 # holds sigma_k[c, r].
-_PAULI_TABLE = trace_table(np.stack([PAULI_X, PAULI_Y, PAULI_Z]))
+_PAULI_TABLE = trace_table(PAULIS)
 _SETTING_IDENTITY = np.eye(2)
 
 
@@ -73,32 +72,27 @@ class Lcg64:
     def uniform(self) -> float:
         return (self.next_uint() >> 11) * 2.0**-53
 
-    def sphere_angles(self) -> tuple[float, float]:
-        """(theta, phi) of a uniform point on the unit sphere."""
-        z = 2.0 * self.uniform() - 1.0
-        phi = 2.0 * math.pi * self.uniform()
-        return math.acos(z), phi
-
-    def settings_angles(self, n_parties: int) -> np.ndarray:
-        out = np.empty((n_parties, 2, 2))
-        for p in range(n_parties):
-            for s in (0, 1):
-                out[p, s] = self.sphere_angles()
-        return out
+    def bloch(self, n_parties: int) -> np.ndarray:
+        """(N, 2, 3) array of uniform points on the unit sphere, party by
+        party, setting 0 first.  Each point draws z, then the azimuth phi."""
+        points = []
+        for _ in range(2 * n_parties):
+            z = 2.0 * self.uniform() - 1.0
+            phi = 2.0 * math.pi * self.uniform()
+            points.append(BlochVector.from_angles(math.acos(z), phi).as_list())
+        return np.array(points).reshape(n_parties, 2, 3)
 
     def settings(self, n_parties: int) -> SettingsTable:
-        return settings_from_angles(self.settings_angles(n_parties))
+        return SettingsTable.from_bloch(self.bloch(n_parties))
 
 
 @dataclass(frozen=True)
 class OptimizationConfig:
-    """Optimizer settings.  ``step_init`` and ``step_min`` are validated and
-    serialized for old configs but have no effect on the see-saw."""
+    """Optimizer settings: restarts, see-saw sweeps per restart (max_iters),
+    and the restart generator's seed."""
 
     restarts: int = 20
     max_iters: int = 500
-    step_init: float = 0.3
-    step_min: float = 1e-7
     seed: int = 1
 
     def __post_init__(self):
@@ -108,21 +102,15 @@ class OptimizationConfig:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.restarts < 1 or self.max_iters < 1:
             raise ValueError("restarts and max_iters must be positive")
-        if not 0.0 < self.step_min < self.step_init:
-            raise ValueError("need 0 < step_min < step_init")
 
     def to_json_dict(self) -> dict:
-        return {
-            "restarts": self.restarts,
-            "max_iters": self.max_iters,
-            "step_init": self.step_init,
-            "step_min": self.step_min,
-            "seed": self.seed,
-        }
+        return {"restarts": self.restarts, "max_iters": self.max_iters, "seed": self.seed}
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "OptimizationConfig":
-        known = {f: data[f] for f in ("restarts", "max_iters", "step_init", "step_min", "seed") if f in data}
+        """Unknown fields, such as the step sizes older configs carry, are
+        ignored."""
+        known = {f: data[f] for f in ("restarts", "max_iters", "seed") if f in data}
         return cls(**known)
 
 
@@ -145,33 +133,6 @@ class OptimizationResult:
             "converged": self.converged,
             "history": [[i, v] for i, v in self.history],
         }
-
-
-def settings_from_angles(angles: np.ndarray) -> SettingsTable:
-    parties = []
-    for p in range(angles.shape[0]):
-        parties.append(
-            tuple(BlochVector.from_angles(*angles[p, s]) for s in (0, 1))
-        )
-    return SettingsTable(tuple(parties))
-
-
-def angles_from_settings(settings: SettingsTable) -> np.ndarray:
-    out = np.empty((settings.n_parties, 2, 2))
-    for p, pair in enumerate(settings.parties):
-        for s, v in enumerate(pair):
-            out[p, s, 0] = math.acos(max(-1.0, min(1.0, v.z)))
-            out[p, s, 1] = math.atan2(v.y, v.x)
-    return out
-
-
-def _bloch_array(settings: SettingsTable) -> np.ndarray:
-    """Settings as an (N, 2, 3) array of Bloch vectors."""
-    return np.array([[v.as_list() for v in pair] for pair in settings.parties])
-
-
-def _settings_table(bloch: np.ndarray) -> SettingsTable:
-    return SettingsTable(tuple(tuple(BlochVector(*v) for v in pair) for pair in bloch.tolist()))
 
 
 def _svetlichny_coeffs(n_parties: int) -> np.ndarray:
@@ -243,9 +204,8 @@ def _expectation_see_saw(start: np.ndarray, corr: np.ndarray, max_sweeps: int):
     )
 
 
-def _top_eigenpair(bloch: np.ndarray) -> tuple[float, np.ndarray]:
-    matrix = svetlichny_operator(_settings_table(bloch)).matrix
-    values, vectors = np.linalg.eigh(matrix)
+def _top_eigenpair(coeffs: np.ndarray, bloch: np.ndarray) -> tuple[float, np.ndarray]:
+    values, vectors = np.linalg.eigh(operator_sum(coeffs, pauli_factors(bloch)))
     return float(values[-1]), vectors[:, -1]
 
 
@@ -254,14 +214,14 @@ def _violation_see_saw(start: np.ndarray, max_sweeps: int):
     eigenvector psi, so lambda_max(S') >= <psi|S'|psi> >= <psi|S|psi> =
     lambda_max(S)."""
     coeffs = _svetlichny_coeffs(len(start))
-    value, psi = _top_eigenpair(start)
+    value, psi = _top_eigenpair(coeffs, start)
 
     def step(bloch):
         nonlocal psi
         _, new = _sweep(coeffs, bloch, _correlation_tensor(np.outer(psi, psi.conj())))
         # A rejected sweep ends the run, so psi may always move to the new
         # settings' eigenvector.
-        new_value, psi = _top_eigenpair(new)
+        new_value, psi = _top_eigenpair(coeffs, new)
         return new_value, new
 
     return _see_saw(value, start, step, max_sweeps)
@@ -274,11 +234,11 @@ def _run_restarts(n_parties: int, ascend, cfg: OptimizationConfig):
     rng = Lcg64(cfg.seed)
     best = None
     for _ in range(cfg.restarts):
-        result = ascend(_bloch_array(rng.settings(n_parties)), cfg.max_iters)
+        result = ascend(rng.bloch(n_parties), cfg.max_iters)
         if best is None or result[0] > best[0]:
             best = result
     value, bloch, sweeps, converged, history = best
-    return value, _settings_table(bloch), sweeps, converged, tuple(history)
+    return value, SettingsTable.from_bloch(bloch), sweeps, converged, tuple(history)
 
 
 def _validate_kind(n_parties: int, kind: str) -> None:
@@ -289,12 +249,6 @@ def _validate_kind(n_parties: int, kind: str) -> None:
     if n_parties < 2:
         raise ValueError("optimization needs at least two parties")
     check_eig_parties(n_parties)
-
-
-def _build_operator(n_parties: int, kind: str, settings: SettingsTable) -> InequalityOperator:
-    if kind == "chsh":
-        return chsh_operator(settings)
-    return svetlichny_operator(settings)
 
 
 def max_eigenvalue(op: InequalityOperator | np.ndarray) -> float:
@@ -312,7 +266,9 @@ def maximize_violation(
     value, settings, sweeps, converged, history = _run_restarts(
         n_parties, _violation_see_saw, cfg
     )
-    check = max_eigenvalue(_build_operator(n_parties, kind, settings))
+    # The CHSH pattern is the two-party Svetlichny one, so one oracle serves
+    # both kinds.
+    check = max_eigenvalue(svetlichny_operator(settings))
     if abs(check - value) > 1e-9:  # pragma: no cover - internal consistency
         raise RuntimeError(f"optimizer value {value} disagrees with oracle {check}")
     return OptimizationResult(value, settings, sweeps, converged, history)
@@ -331,7 +287,7 @@ def maximize_expectation(
     value, settings, sweeps, converged, history = _run_restarts(
         n_parties, lambda start, max_sweeps: _expectation_see_saw(start, corr, max_sweeps), cfg
     )
-    check = expectation(_build_operator(n_parties, kind, settings).matrix, rho)
+    check = expectation(svetlichny_operator(settings).matrix, rho)
     if abs(check - value) > 1e-9:  # pragma: no cover - internal consistency
         raise RuntimeError(f"optimizer value {value} disagrees with oracle {check}")
     return OptimizationResult(value, settings, sweeps, converged, history)

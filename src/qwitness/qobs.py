@@ -8,16 +8,17 @@ leftmost tensor factor; |0> is the +1 eigenvector of sigma_z.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .opalg import frob_norm, hermiticity_defect, kron
+from .opalg import HERMITICITY_TOL, frob_norm, hermiticity_defect, kron
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=np.complex128)
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=np.complex128)
 IDENTITY_2 = np.eye(2, dtype=np.complex128)
+PAULIS = np.stack([PAULI_X, PAULI_Y, PAULI_Z])
 
 UNIT_NORM_TOL = 1e-12
 INVOLUTION_TOL = 1e-11
@@ -33,7 +34,11 @@ class BlochVector:
 
     def __post_init__(self):
         norm2 = self.x * self.x + self.y * self.y + self.z * self.z
-        if abs(norm2 - 1.0) > UNIT_NORM_TOL:
+        # Written so that a NaN norm, from a NaN that JSON configs may hold,
+        # fails the test too.
+        if not abs(norm2 - 1.0) <= UNIT_NORM_TOL:
+            if not all(math.isfinite(c) for c in (self.x, self.y, self.z)):
+                raise ValueError(f"Bloch vector entries must be finite, got {self.as_list()!r}")
             raise ValueError(f"Bloch vector must be unit length, got |n|^2 = {norm2!r}")
 
     @classmethod
@@ -50,11 +55,23 @@ def bloch_observable(n: BlochVector) -> np.ndarray:
     return n.x * PAULI_X + n.y * PAULI_Y + n.z * PAULI_Z
 
 
+def pauli_factors(bloch) -> np.ndarray:
+    """n.sigma for every Bloch vector in an array of shape (..., 3): the one
+    map from settings to 2x2 factors, of shape (..., 2, 2)."""
+    return np.tensordot(bloch, PAULIS, axes=(-1, 0))
+
+
 @dataclass(frozen=True)
 class SettingsTable:
-    """Per party, two measurement directions indexed by a setting bit."""
+    """Per party, two measurement directions indexed by a setting bit.
+
+    ``bloch`` holds the same directions as a read-only (N, 2, 3) array, the
+    form every computation uses; it is derived from ``parties``, so it takes
+    no part in equality or hashing.
+    """
 
     parties: tuple[tuple[BlochVector, BlochVector], ...]
+    bloch: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         parties = tuple(tuple(pair) for pair in self.parties)
@@ -63,20 +80,23 @@ class SettingsTable:
         for pair in parties:
             if len(pair) != 2 or not all(isinstance(v, BlochVector) for v in pair):
                 raise ValueError("each party needs exactly two Bloch vectors")
+        bloch = np.array([[v.as_list() for v in pair] for pair in parties])
+        bloch.flags.writeable = False
         object.__setattr__(self, "parties", parties)
+        object.__setattr__(self, "bloch", bloch)
+
+    @classmethod
+    def from_bloch(cls, bloch) -> "SettingsTable":
+        """The table of an (N, 2, 3) array of unit vectors."""
+        pairs = np.asarray(bloch).tolist()
+        return cls(tuple(tuple(BlochVector(*v) for v in pair) for pair in pairs))
 
     @property
     def n_parties(self) -> int:
         return len(self.parties)
 
     def observable(self, party: int, setting: int) -> np.ndarray:
-        return bloch_observable(self.parties[party][setting])
-
-    def observable_pairs(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        """All 2x2 observables, one (setting-0, setting-1) pair per party."""
-        return [
-            (bloch_observable(p0), bloch_observable(p1)) for p0, p1 in self.parties
-        ]
+        return pauli_factors(self.bloch[party, setting])
 
     def to_json_dict(self) -> dict:
         return {"parties": [[v0.as_list(), v1.as_list()] for v0, v1 in self.parties]}
@@ -196,8 +216,8 @@ def product_state(blochs) -> np.ndarray:
     if not blochs:
         raise ValueError("product_state needs at least one Bloch vector")
     out = np.array([[1.0 + 0.0j]])
-    for n in blochs:
-        out = kron(out, (IDENTITY_2 + bloch_observable(n)) / 2.0)
+    for factor in pauli_factors([n.as_list() for n in blochs]):
+        out = kron(out, (IDENTITY_2 + factor) / 2.0)
     return out
 
 
@@ -227,6 +247,6 @@ def expectation(op: np.ndarray, rho: np.ndarray) -> float:
     if op.shape != rho.shape:
         raise ValueError(f"dimension mismatch: {op.shape} vs {rho.shape}")
     dim = op.shape[0]
-    if hermiticity_defect(op) > 1e-10 * dim:
+    if hermiticity_defect(op) > HERMITICITY_TOL * dim:
         raise ValueError("operator must be Hermitian")
     return real_trace(np.einsum("ij,ji->", op, rho))

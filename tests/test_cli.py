@@ -429,6 +429,43 @@ class TestWronglyTypedFields:
         assert err.startswith("qwitness: invalid config: ")
 
 
+def nan_settings():
+    data = planar_settings(3).to_json_dict()
+    data["parties"][0][0] = [float("nan"), 0.0, 1.0]
+    return data
+
+
+def nan_state_matrix():
+    rho = [[[0.25 if i == j else 0.0, 0.0] for j in range(4)] for i in range(4)]
+    rho[0][0] = [float("nan"), 0.0]
+    return rho
+
+
+class TestNonFiniteNumbers:
+    """JSON accepts NaN and Infinity; no config number may be non-finite."""
+
+    @pytest.mark.parametrize(
+        "payload, argv",
+        [
+            (
+                {"state": "product", "product_blochs": [[float("nan"), 0.0, 1.0]] * 3},
+                ["witness", "--n", "3", "--optimize"],
+            ),
+            ({"state_matrix": nan_state_matrix()}, ["contextuality"]),
+            ({"settings": nan_settings()}, ["verify", "--n", "3"]),
+        ],
+        ids=["product_blochs-witness", "state_matrix-contextuality", "settings-verify"],
+    )
+    def test_exits_three_with_one_line(self, capsys, tmp_path, payload, argv):
+        cfg = write_config(tmp_path, payload)
+        code, report, err = run_cli(capsys, [*argv, "--config", cfg])
+        assert code == 3
+        assert report is None
+        assert err.count("\n") == 1
+        assert err.startswith("qwitness: invalid config: ")
+        assert "must be finite" in err
+
+
 class TestParserReuse:
     ARGVS = (
         ["verify", "--n", "3", "--random", "2", "--seed", "5"],

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -7,18 +9,15 @@ from qwitness.ineq import chsh_operator, chsh_optimal_settings, svetlichny_opera
 from qwitness.optimize import (
     Lcg64,
     OptimizationConfig,
-    _bloch_array,
     _correlation_tensor,
     _expectation_see_saw,
     _violation_see_saw,
-    angles_from_settings,
     max_eigenvalue,
     maximize_expectation,
     maximize_violation,
-    settings_from_angles,
     violation_threshold,
 )
-from qwitness.qobs import SettingsTable, ghz_state
+from qwitness.qobs import BlochVector, SettingsTable, ghz_state
 
 SMALL = OptimizationConfig(restarts=3, seed=71)
 
@@ -59,6 +58,29 @@ class TestLcg64:
     def test_settings_are_valid(self):
         table = Lcg64(9).settings(3)
         assert table.n_parties == 3
+
+    def test_settings_golden_stream(self):
+        # Recorded from the angle-based draw (z, then phi, per slot) that
+        # every seed's restarts and random tables follow.
+        assert Lcg64(1).settings(3).to_json_dict() == {
+            "parties": [
+                [
+                    [-0.986410267831925, -0.05837343371367868, -0.15358165825457343],
+                    [-0.7077873448359252, 0.6410889449844893, 0.29671878792686107],
+                ],
+                [
+                    [-0.8067439452115053, -0.0025916613714457113, 0.590895498507064],
+                    [0.9113560711402853, 0.39723295280729765, 0.10787072262545855],
+                ],
+                [
+                    [0.23356044821677088, 0.6955531602425273, 0.6794522192953778],
+                    [-0.8489724964508041, -0.19401583951687962, 0.49153184463130134],
+                ],
+            ]
+        }
+
+    def test_bloch_draw_is_the_settings_draw(self):
+        assert np.array_equal(Lcg64(4).bloch(5), Lcg64(4).settings(5).bloch)
 
     def test_documented_recurrence(self):
         rng = Lcg64(1)
@@ -118,7 +140,7 @@ class TestSettingRelabelingInvariance:
             ((table.parties[0][1], table.parties[0][0]),) + table.parties[1:]
         )
         cfg = OptimizationConfig(restarts=1, seed=1)
-        value, _, _, _, _ = _violation_see_saw(_bloch_array(swapped), cfg.max_iters)
+        value, _, _, _, _ = _violation_see_saw(swapped.bloch, cfg.max_iters)
         assert abs(value - svet3_opt.best_value) < 1e-6
 
 
@@ -131,9 +153,9 @@ class TestMaximizeExpectation:
 
     def test_planar_settings_are_already_optimal(self):
         rho = ghz_state(3)
-        cfg = OptimizationConfig(restarts=1, seed=74, step_init=0.05, step_min=1e-4)
+        cfg = OptimizationConfig(restarts=1, seed=74)
         value, _, _, _, _ = _expectation_see_saw(
-            _bloch_array(planar_settings(3)), _correlation_tensor(rho), cfg.max_iters
+            planar_settings(3).bloch, _correlation_tensor(rho), cfg.max_iters
         )
         assert abs(value - 4.0 * SQRT2) < 1e-9
 
@@ -165,15 +187,22 @@ class TestConfig:
         with pytest.raises(ValueError):
             OptimizationConfig(restarts=0)
         with pytest.raises(ValueError):
-            OptimizationConfig(step_init=1e-8, step_min=1e-7)
+            OptimizationConfig(max_iters=0)
 
     def test_json_round_trip(self):
         cfg = OptimizationConfig(restarts=5, seed=99)
         assert OptimizationConfig.from_json_dict(cfg.to_json_dict()) == cfg
 
+    def test_older_step_fields_ignored(self):
+        old = {"restarts": 5, "step_init": 1e-8, "step_min": 1e-7, "seed": 99}
+        assert OptimizationConfig.from_json_dict(old) == OptimizationConfig(restarts=5, seed=99)
+
     def test_angles_round_trip(self):
         table = planar_settings(3)
-        again = settings_from_angles(angles_from_settings(table))
+        angles = [[(math.acos(v.z), math.atan2(v.y, v.x)) for v in pair] for pair in table.parties]
+        again = SettingsTable.from_bloch(
+            [[BlochVector.from_angles(*a).as_list() for a in pair] for pair in angles]
+        )
         for pair_a, pair_b in zip(table.parties, again.parties):
             for va, vb in zip(pair_a, pair_b):
                 assert abs(va.x - vb.x) < 1e-12

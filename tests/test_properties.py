@@ -1,6 +1,7 @@
 """Property tests: every fast path equals its brute-force or dense oracle.
 
-Random +/-1 sign patterns and random measurement settings drive the
+Random +/-1 sign patterns and random measurement settings drive the map
+from Bloch vectors to 2x2 factors (qobs.pauli_factors), the
 mode-product kernel (ineq.correlation_sum) through the classical bounds, the
 inequality operators and the see-saw optimizer's values and updates, the
 norm certificate for the witness pairs against dense eigenvalues, the
@@ -41,12 +42,10 @@ from qwitness.ineq import (
 )
 from qwitness.opalg import anticommutator, frob_distance, hermitian_eigenvalues, is_psd
 from qwitness.optimize import (
-    _bloch_array,
     _correlation_tensor,
     _svetlichny_coeffs,
     _update_party,
     _value,
-    settings_from_angles,
 )
 from qwitness.qobs import (
     PAULI_X,
@@ -56,10 +55,12 @@ from qwitness.qobs import (
     BlochVector,
     Grouping,
     SettingsTable,
+    bloch_observable,
     expectation,
     ghz_state,
     maximally_mixed,
     noisy_mixture,
+    pauli_factors,
     product_state,
 )
 from qwitness.witness import (
@@ -135,6 +136,15 @@ def test_hybrid_bound_is_the_first_maximizer(n, data):
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+@bounded(10)
+@given(data=st.data())
+def test_pauli_factors_equal_bloch_observables(n, data):
+    table = data.draw(settings_tables(n))
+    oracle = np.array([[bloch_observable(v) for v in pair] for pair in table.parties])
+    assert np.array_equal(pauli_factors(table.bloch), oracle)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 @bounded(6)
 @given(data=st.data())
 def test_kernel_operator_equals_word_sum(n, data):
@@ -184,7 +194,10 @@ def test_signed_sum_equals_svetlichny_operator(n, data):
     pairs = data.draw(st.lists(st.tuples(sphere_angles, sphere_angles), min_size=n, max_size=n))
     angles = np.array(pairs, dtype=np.float64)
     phase_trick = _signed_sum(_observables_from_angles(angles))
-    kernel = svetlichny_operator(settings_from_angles(angles)).matrix
+    table = SettingsTable(
+        tuple(tuple(BlochVector.from_angles(*a) for a in pair) for pair in pairs)
+    )
+    kernel = svetlichny_operator(table).matrix
     assert np.max(np.abs(phase_trick - kernel)) <= OPERATOR_TOL
 
 
@@ -213,7 +226,7 @@ def test_correlation_tensor_value_equals_dense_expectation(n, data):
     )
     operator = svetlichny_operator(table).matrix
     for rho in states:
-        value = _value(_svetlichny_coeffs(n), _bloch_array(table), _correlation_tensor(rho))
+        value = _value(_svetlichny_coeffs(n), table.bloch, _correlation_tensor(rho))
         assert abs(value - expectation(operator, rho)) <= OPERATOR_TOL
 
 
@@ -221,7 +234,7 @@ def test_correlation_tensor_value_equals_dense_expectation(n, data):
 @bounded(6)
 @given(data=st.data())
 def test_party_update_picks_the_best_direction(n, data):
-    bloch = _bloch_array(data.draw(settings_tables(n)))
+    bloch = data.draw(settings_tables(n)).bloch.copy()
     corr = _correlation_tensor(data.draw(density_matrices(n)))
     party = data.draw(st.integers(0, n - 1))
     rivals = data.draw(st.lists(st.tuples(st.integers(0, 1), unit_vectors), min_size=1, max_size=4))
@@ -241,7 +254,7 @@ def test_party_update_picks_the_best_direction(n, data):
 @given(data=st.data())
 def test_noisy_ghz_value_scales_with_visibility(n, data):
     # The fact behind violation_threshold's closed form.
-    bloch = _bloch_array(data.draw(settings_tables(n)))
+    bloch = data.draw(settings_tables(n)).bloch
     v = data.draw(st.floats(0.0, 1.0))
     coeffs = _svetlichny_coeffs(n)
     ghz = _value(coeffs, bloch, _correlation_tensor(ghz_state(n)))

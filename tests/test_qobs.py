@@ -43,6 +43,11 @@ class TestBlochObservable:
         with pytest.raises(ValueError, match="unit"):
             BlochVector(1.0, 1.0, 0.0)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_entry_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            BlochVector(bad, 0.0, 1.0)
+
     def test_from_angles_is_unit(self):
         n = BlochVector.from_angles(1.234, -2.345)
         assert abs(n.x**2 + n.y**2 + n.z**2 - 1.0) <= 1e-12
@@ -248,6 +253,24 @@ class TestSettingsTable:
         )
         assert np.array_equal(table.observable(0, 0), PAULI_Z)
         assert np.array_equal(table.observable(1, 0), PAULI_X)
+
+    def test_bloch_array_is_read_only_and_derived(self):
+        table = random_settings(3, np.random.default_rng(17))
+        assert table.bloch.shape == (3, 2, 3)
+        assert table.bloch.tolist() == [[v.as_list() for v in pair] for pair in table.parties]
+        with pytest.raises(ValueError, match="read-only"):
+            table.bloch[0, 0, 0] = 1.0
+
+    def test_from_bloch_round_trip(self):
+        table = random_settings(4, np.random.default_rng(18))
+        again = SettingsTable.from_bloch(table.bloch)
+        assert again == table
+        assert hash(again) == hash(table)
+        assert np.array_equal(again.bloch, table.bloch)
+
+    def test_from_bloch_rejects_non_unit_rows(self):
+        with pytest.raises(ValueError, match="unit"):
+            SettingsTable.from_bloch(np.full((2, 2, 3), 0.5))
 
     def test_random_settings_unit_norm(self):
         rng = np.random.default_rng(16)

@@ -16,26 +16,19 @@ from .qobs import (  # noqa: F401
     Grouping,
     SettingsTable,
     bloch_observable,
-    embed,
     expectation,
     ghz_state,
-    group_observable,
     maximally_mixed,
     noisy_mixture,
-    parity_projector,
     product_state,
-    random_settings,
 )
 from .ineq import (  # noqa: F401
     CertificationError,
-    ChshElement,
     InequalityOperator,
     SignPattern,
-    chsh_element,
     chsh_operator,
     chsh_optimal_settings,
     cycle_from_settings,
-    decompose_svetlichny,
     noncontextual_cycle,
     svetlichny_operator,
     svetlichny_pattern,
@@ -43,12 +36,8 @@ from .ineq import (  # noqa: F401
 )
 from .witness import (  # noqa: F401
     WitnessIdentityError,
-    WitnessPair,
     WitnessReport,
-    element_witness,
     evaluate_witness,
-    total_witness,
-    witness_pair,
 )
 from .classical import (  # noqa: F401
     BoundResult,
@@ -67,4 +56,16 @@ from .optimize import (  # noqa: F401
     maximize_expectation,
     maximize_violation,
     violation_threshold,
+)
+from .dense import (  # noqa: F401
+    ChshElement,
+    WitnessPair,
+    chsh_element,
+    decompose_svetlichny,
+    element_witness,
+    embed,
+    group_observable,
+    parity_projector,
+    total_witness,
+    witness_pair,
 )

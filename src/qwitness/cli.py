@@ -31,7 +31,8 @@ from .classical import (
 )
 from .ineq import (
     COMPATIBILITY_TOL,
-    CYCLE_PSD_TOL,
+    CYCLE_PAIRS,
+    PSD_TOL,
     CertificationError,
     PartyFactors,
     chsh_optimal_settings,
@@ -45,6 +46,7 @@ from .opalg import (
     frob_norm,
     hermitian_eigenvalues,
     hermiticity_defect,
+    is_psd,
 )
 from .optimize import Lcg64, OptimizationConfig, maximize_expectation, maximize_violation
 from .qobs import (
@@ -69,6 +71,8 @@ EXIT_INVALID_CONFIG = 3
 EXIT_CAP_EXCEEDED = 4
 
 EXACT_IDENTITY_TOL = 1e-12
+# Slack of a config state_matrix's Hermiticity defect and of its unit trace.
+STATE_TOL = 1e-9
 
 CHSH_COMBINATION_NOTE = (
     "correlation combination A1B1 + A1B2 + A2B1 - A2B2, the form forced by "
@@ -324,12 +328,8 @@ def cmd_contextuality(cfg: dict) -> tuple[dict, int]:
         table = _settings_from_cfg(cfg, 2) or chsh_optimal_settings()
         a, b, c, d = cycle_from_settings(table)
 
-    pair_norms = {
-        "AB": frob_norm(commutator(a, b)),
-        "BC": frob_norm(commutator(b, c)),
-        "CD": frob_norm(commutator(c, d)),
-        "DA": frob_norm(commutator(d, a)),
-    }
+    ops = dict(zip("ABCD", (a, b, c, d)))
+    pair_norms = {x + y: frob_norm(commutator(ops[x], ops[y])) for x, y in CYCLE_PAIRS}
     try:
         x_op, y_op, ec, residuals = noncontextual_identities(a, b, c, d)
     except ValueError as exc:
@@ -350,8 +350,10 @@ def cmd_contextuality(cfg: dict) -> tuple[dict, int]:
         rho = _complex_matrix(cfg["state_matrix"])
         if rho.shape != (4, 4):
             raise ConfigError("state_matrix must be 4x4")
-        if hermiticity_defect(rho) > 1e-9 or abs(complex(np.trace(rho)).real - 1.0) > 1e-9:
+        if hermiticity_defect(rho) > STATE_TOL or abs(complex(np.trace(rho)).real - 1.0) > STATE_TOL:
             raise ConfigError("state_matrix must be Hermitian with unit trace")
+        if not is_psd((rho + rho.conj().T) / 2.0, PSD_TOL):
+            raise ConfigError("state_matrix must be positive semidefinite")
         ec_value = expectation(ec.matrix, rho)
     elif "state" in cfg:
         rho, _ = _build_state(cfg, 2)
@@ -359,7 +361,7 @@ def cmd_contextuality(cfg: dict) -> tuple[dict, int]:
 
     passed = (
         all(v <= EXACT_IDENTITY_TOL for v in residuals.values())
-        and all(v >= -CYCLE_PSD_TOL for v in min_eigs.values())
+        and all(v >= -PSD_TOL for v in min_eigs.values())
         and all(v <= COMPATIBILITY_TOL for v in pair_norms.values())
     )
     results = {

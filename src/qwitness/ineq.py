@@ -1,8 +1,8 @@
 """Inequality operators.
 
 CHSH, the 4-cycle noncontextual expression, the N-qubit Svetlichny
-polynomial, and the split of the Svetlichny polynomial into 2^(N-2)
-CHSH-type elements on an effective party pair.
+polynomial, and the certified sign vectors of its 2^(N-2) CHSH-type elements
+on an effective party pair (element_signs; the dense elements are in dense).
 
 Setting words are read with party 0 as the most significant bit, so word
 indices follow binary counting: for N = 3 the word 011 means party 0 uses
@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cache, cached_property
+from functools import cache
 
 import numpy as np
 
@@ -31,14 +31,14 @@ from .opalg import (
 from .qobs import (
     IDENTITY_2,
     BlochVector,
-    Grouping,
     SettingsTable,
     pauli_factors,
     real_trace,
 )
 
 COMPATIBILITY_TOL = 1e-10
-CYCLE_PSD_TOL = 1e-9
+# How far below zero a smallest eigenvalue may lie in a positivity check.
+PSD_TOL = 1e-9
 
 
 class CertificationError(ValueError):
@@ -135,35 +135,11 @@ class PartyFactors:
     def from_settings(cls, settings: SettingsTable) -> "PartyFactors":
         return cls(pauli_factors(settings.bloch))
 
-    def _bits(self, word: int) -> list[int]:
-        n = len(self.observables)
-        return [(word >> (n - 1 - party)) & 1 for party in range(n)]
-
-    def term(self, word: int) -> np.ndarray:
-        """Kronecker product of the factors a setting word picks, party 0
-        leftmost."""
-        out = np.array([[1.0 + 0.0j]])
-        for party, bit in enumerate(self._bits(word)):
-            out = kron(out, self.observables[party, bit])
-        return out
-
-    def term_norm(self, word: int) -> float:
-        """Spectral norm of term(word): the product of its factors' norms."""
-        norm = 1.0
-        for party, bit in enumerate(self._bits(word)):
-            norm *= float(self.norms[party, bit])
-        return norm
-
     def expectation(self, coeffs, rho: np.ndarray) -> float:
-        """Re tr(rho sum_w c_w term(w)) with no term built: tr(rho term(w))
-        for every word w is one state_sum against the factor tables."""
+        """Re tr(rho sum_w c_w (x)_p F_p[w_p]) with no product built: every
+        word's trace is one entry of a state_sum against the factor tables."""
         words = state_sum(rho, list(trace_table(self.observables))).reshape(-1)
         return real_trace(np.dot(coeffs, words))
-
-
-def correlation_operator(settings: SettingsTable, word: int) -> np.ndarray:
-    """Tensor product of the chosen observables for one setting word."""
-    return PartyFactors.from_settings(settings).term(word)
 
 
 def correlation_sum(coeffs, factors) -> np.ndarray:
@@ -265,7 +241,7 @@ def svetlichny_operator(
     return InequalityOperator(matrix, float(2 ** (n - 1)), f"svetlichny-{n}")
 
 
-_CYCLE_PAIRS = (("A", "B"), ("B", "C"), ("C", "D"), ("D", "A"))
+CYCLE_PAIRS = (("A", "B"), ("B", "C"), ("C", "D"), ("D", "A"))
 
 
 def noncontextual_cycle(
@@ -287,7 +263,7 @@ def noncontextual_cycle(
     for name, m in ops.items():
         if m.shape != (4, 4):
             raise ValueError(f"cycle observable {name} must be 4x4, got {m.shape}")
-    for x, y in _CYCLE_PAIRS:
+    for x, y in CYCLE_PAIRS:
         defect = frob_norm(commutator(ops[x], ops[y]))
         if defect > COMPATIBILITY_TOL:
             raise ValueError(
@@ -297,7 +273,7 @@ def noncontextual_cycle(
     x_op = 2.0 * eye - (b @ c - a @ d)
     y_op = 2.0 * eye - (a @ b + c @ d)
     for name, m in (("X", x_op), ("Y", y_op)):
-        if not is_psd(m, CYCLE_PSD_TOL):
+        if not is_psd(m, PSD_TOL):
             raise ValueError(
                 f"{name} is not positive semidefinite; cycle observables must be involutory"
             )
@@ -353,54 +329,6 @@ def chsh_optimal_settings() -> SettingsTable:
     )
 
 
-@dataclass(frozen=True)
-class ChshElement:
-    """Four signed full-correlation terms forming one CHSH-type block.
-
-    The free setting indices (i, j) belong to an effective party pair: the
-    merged group of parties 0..N-2 and the singleton {N-1}.  All remaining
-    parties keep the fixed setting bits recorded in ``fixed_choices``.
-    Certified sign vectors always take the form (a, b, b, -a), i.e. one of
-    the two CHSH patterns (+,+,+,-) and (+,-,-,-) up to overall sign.
-
-    ``terms`` (dense 2^N x 2^N, built on first use) and ``term_norms``
-    come from ``factors``; the CLI path never needs the terms.
-    """
-
-    index: int
-    grouping: Grouping
-    fixed_choices: tuple[int, ...]
-    signs: tuple[int, int, int, int]
-    factors: PartyFactors
-    words: tuple[int, int, int, int]
-
-    @cached_property
-    def terms(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        return tuple(self.factors.term(w) for w in self.words)
-
-    @property
-    def term_norms(self) -> tuple[float, float, float, float]:
-        return tuple(self.factors.term_norm(w) for w in self.words)
-
-    @property
-    def sign_variant(self) -> tuple[int, int]:
-        """(a, b) such that X = 2 - a(Q00 - Q11) and Y = 2 - b(Q01 + Q10)."""
-        return self.signs[0], self.signs[1]
-
-    def signed_terms(self) -> tuple[tuple[int, int, int], ...]:
-        """The four (sign, i, j) triples in (i, j) binary counting order."""
-        return tuple(
-            (self.signs[2 * i + j], i, j) for i in (0, 1) for j in (0, 1)
-        )
-
-    def operator(self) -> np.ndarray:
-        """The element inequality operator: sum of the signed terms."""
-        out = np.zeros_like(self.terms[0])
-        for sign, term in zip(self.signs, self.terms):
-            out += sign * term
-        return out
-
-
 def element_signs(pattern: SignPattern | None, n_parties: int) -> np.ndarray:
     """The certified (2^(N-2), 4) sign vectors of the CHSH-type elements of
     ``pattern`` (default: the Svetlichny pattern).
@@ -423,48 +351,3 @@ def element_signs(pattern: SignPattern | None, n_parties: int) -> np.ndarray:
             "is not CHSH-type (expected the form (a, b, b, -a))"
         )
     return signs
-
-
-def _elements(settings: SettingsTable, pattern: SignPattern | None) -> list[ChshElement]:
-    n = settings.n_parties
-    signs = element_signs(pattern, n)
-    grouping = Grouping(tuple(range(n - 1)), (n - 1,))
-    factors = PartyFactors.from_settings(settings)
-    elements = []
-    for prefix in range(2 ** (n - 2)):
-        words = tuple(range(4 * prefix, 4 * prefix + 4))
-        fixed = tuple((prefix >> (n - 3 - p)) & 1 for p in range(n - 2))
-        elements.append(
-            ChshElement(
-                prefix, grouping, fixed, tuple(int(c) for c in signs[prefix]), factors, words
-            )
-        )
-    return elements
-
-
-def decompose_svetlichny(
-    settings: SettingsTable, pattern: SignPattern | None = None
-) -> list[ChshElement]:
-    """Split the Svetlichny polynomial into 2^(N-2) CHSH-type elements.
-
-    Element index runs over the joint setting word of parties 0..N-3; the
-    free indices are the settings of parties N-2 and N-1.  Every four-term
-    group is certified CHSH-type, which fails loudly if the sign rule is
-    ever wrong; summing the element operators reconstructs the Svetlichny
-    operator.
-    """
-    if settings.n_parties < 3:
-        raise ValueError(
-            "decomposition needs at least three parties; use chsh_element for N = 2"
-        )
-    return _elements(settings, pattern)
-
-
-def chsh_element(
-    settings: SettingsTable, pattern: SignPattern | None = None
-) -> ChshElement:
-    """The CHSH combination packaged as a single element (two parties): the
-    N = 2 case of the decomposition, with no fixed parties."""
-    if settings.n_parties != 2:
-        raise ValueError("chsh_element needs exactly two parties")
-    return _elements(settings, pattern)[0]

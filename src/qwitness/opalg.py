@@ -19,6 +19,8 @@ MAX_EIG_DIM = 256
 # Hermiticity slack scales with dimension: roundoff from kron/product chains
 # grows roughly linearly in matrix size.
 HERMITICITY_TOL = 1e-10
+# Eigenpair residual slack, scaled by dimension and by the spectral radius.
+EIGENPAIR_RESIDUAL_TOL = 1e-9
 
 
 class CapExceededError(ValueError):
@@ -41,21 +43,7 @@ def check_eig_parties(n_parties: int) -> None:
 
 
 class ConvergenceError(RuntimeError):
-    """Eigensolver could not certify its result; carries the residual."""
-
-    def __init__(self, message: str, residual: float):
-        super().__init__(message)
-        self.residual = residual
-
-
-def as_operator(entries) -> np.ndarray:
-    """Coerce input to a square complex matrix with finite entries."""
-    m = np.array(entries, dtype=np.complex128)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
-        raise ValueError("matrix entries must be finite")
-    return m
+    """Eigensolver could not certify its result."""
 
 
 def dagger(a: np.ndarray) -> np.ndarray:
@@ -126,11 +114,11 @@ def hermitian_eigenvalues(h: np.ndarray) -> EigenResult:
     try:
         values, vectors = np.linalg.eigh(sym)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-        raise ConvergenceError(f"eigensolver did not converge: {exc}", float("inf"))
+        raise ConvergenceError(f"eigensolver did not converge: {exc}")
     residual = float(np.max(np.linalg.norm(h @ vectors - vectors * values, axis=0)))
     scale = max(1.0, float(np.max(np.abs(values))))
-    if residual > 1e-9 * n * scale:  # pragma: no cover - would indicate a LAPACK bug
-        raise ConvergenceError(f"eigenpair residual {residual:.3e} too large", residual)
+    if residual > EIGENPAIR_RESIDUAL_TOL * n * scale:  # pragma: no cover - a LAPACK bug
+        raise ConvergenceError(f"eigenpair residual {residual:.3e} too large")
     return EigenResult(values=values, residual=residual)
 
 

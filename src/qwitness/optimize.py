@@ -41,6 +41,7 @@ from .qobs import (
 )
 
 SWEEP_IMPROVEMENT_TOL = 1e-10
+ORACLE_CHECK_TOL = 1e-9
 
 INEQUALITY_KINDS = ("chsh", "svetlichny")
 
@@ -72,18 +73,17 @@ class Lcg64:
     def uniform(self) -> float:
         return (self.next_uint() >> 11) * 2.0**-53
 
-    def bloch(self, n_parties: int) -> np.ndarray:
-        """(N, 2, 3) array of uniform points on the unit sphere, party by
-        party, setting 0 first.  Each point draws z, then the azimuth phi."""
+    def settings(self, n_parties: int) -> SettingsTable:
+        """Uniform unit vectors by party, setting 0 first; each draws z, then phi."""
         points = []
         for _ in range(2 * n_parties):
             z = 2.0 * self.uniform() - 1.0
             phi = 2.0 * math.pi * self.uniform()
-            points.append(BlochVector.from_angles(math.acos(z), phi).as_list())
-        return np.array(points).reshape(n_parties, 2, 3)
+            points.append(BlochVector.from_angles(math.acos(z), phi))
+        return SettingsTable(tuple(zip(points[::2], points[1::2])))
 
-    def settings(self, n_parties: int) -> SettingsTable:
-        return SettingsTable.from_bloch(self.bloch(n_parties))
+    def bloch(self, n_parties: int) -> np.ndarray:
+        return self.settings(n_parties).bloch
 
 
 @dataclass(frozen=True)
@@ -269,7 +269,7 @@ def maximize_violation(
     # The CHSH pattern is the two-party Svetlichny one, so one oracle serves
     # both kinds.
     check = max_eigenvalue(svetlichny_operator(settings))
-    if abs(check - value) > 1e-9:  # pragma: no cover - internal consistency
+    if abs(check - value) > ORACLE_CHECK_TOL:  # pragma: no cover - internal consistency
         raise RuntimeError(f"optimizer value {value} disagrees with oracle {check}")
     return OptimizationResult(value, settings, sweeps, converged, history)
 
@@ -288,7 +288,7 @@ def maximize_expectation(
         n_parties, lambda start, max_sweeps: _expectation_see_saw(start, corr, max_sweeps), cfg
     )
     check = expectation(svetlichny_operator(settings).matrix, rho)
-    if abs(check - value) > 1e-9:  # pragma: no cover - internal consistency
+    if abs(check - value) > ORACLE_CHECK_TOL:  # pragma: no cover - internal consistency
         raise RuntimeError(f"optimizer value {value} disagrees with oracle {check}")
     return OptimizationResult(value, settings, sweeps, converged, history)
 

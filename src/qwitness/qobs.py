@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .opalg import HERMITICITY_TOL, frob_norm, hermiticity_defect, kron
+from .opalg import HERMITICITY_TOL, hermiticity_defect, kron
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=np.complex128)
@@ -21,7 +21,7 @@ IDENTITY_2 = np.eye(2, dtype=np.complex128)
 PAULIS = np.stack([PAULI_X, PAULI_Y, PAULI_Z])
 
 UNIT_NORM_TOL = 1e-12
-INVOLUTION_TOL = 1e-11
+IMAGINARY_PART_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -109,20 +109,6 @@ class SettingsTable:
         return cls(parties)
 
 
-def random_settings(n_parties: int, rng: np.random.Generator) -> SettingsTable:
-    """Settings table with uniform-sphere directions for every slot."""
-    parties = []
-    for _ in range(n_parties):
-        pair = []
-        for _ in range(2):
-            z = rng.uniform(-1.0, 1.0)
-            phi = rng.uniform(0.0, 2.0 * math.pi)
-            r = math.sqrt(max(0.0, 1.0 - z * z))
-            pair.append(BlochVector(r * math.cos(phi), r * math.sin(phi), z))
-        parties.append(tuple(pair))
-    return SettingsTable(tuple(parties))
-
-
 @dataclass(frozen=True)
 class Grouping:
     """Bipartition of parties 0..N-1 into two nonempty groups."""
@@ -145,51 +131,6 @@ class Grouping:
     @property
     def n_parties(self) -> int:
         return len(self.group_a) + len(self.group_b)
-
-
-def embed(obs: np.ndarray, party: int, n_parties: int) -> np.ndarray:
-    """I x ... x obs x ... x I with obs in the given party slot."""
-    if obs.shape != (2, 2):
-        raise ValueError("embed expects a single-qubit (2x2) observable")
-    if not 0 <= party < n_parties:
-        raise ValueError(f"party index {party} out of range for {n_parties} parties")
-    out = np.array([[1.0 + 0.0j]])
-    for slot in range(n_parties):
-        out = kron(out, obs if slot == party else IDENTITY_2)
-    return out
-
-
-def group_observable(settings: SettingsTable, group, choices: dict) -> np.ndarray:
-    """Joint observable of a party group: the chosen observable on each member
-    slot, identity elsewhere.  Its +/-1 outcome is the parity of the members'
-    individual outcomes."""
-    members = set(group)
-    if set(choices) != members:
-        raise ValueError("setting choices must be given exactly for the group members")
-    out = np.array([[1.0 + 0.0j]])
-    for party in range(settings.n_parties):
-        if party in members:
-            out = kron(out, settings.observable(party, choices[party]))
-        else:
-            out = kron(out, IDENTITY_2)
-    return out
-
-
-def parity_projector(g: np.ndarray, s: int) -> np.ndarray:
-    """(I + (-1)^s g) / 2 for an involutory observable g.
-
-    The two projectors are idempotent, mutually orthogonal, sum to I, and
-    their difference recovers g.
-    """
-    if s not in (0, 1):
-        raise ValueError("parity bit must be 0 or 1")
-    dim = g.shape[0]
-    eye = np.eye(dim)
-    defect = frob_norm(g @ g - eye)
-    if defect > INVOLUTION_TOL * dim:
-        raise ValueError(f"observable is not involutory: ||g^2 - I|| = {defect:.3e}")
-    sign = 1.0 if s == 0 else -1.0
-    return (eye + sign * g) / 2.0
 
 
 def ghz_state(n: int) -> np.ndarray:
@@ -236,7 +177,7 @@ def real_trace(tr) -> float:
     signals a non-Hermitian operator bug and is rejected.
     """
     tr = complex(tr)
-    if abs(tr.imag) > 1e-10:
+    if abs(tr.imag) > IMAGINARY_PART_TOL:
         raise ValueError(f"expectation has imaginary part {tr.imag:.3e}")
     return float(tr.real)
 

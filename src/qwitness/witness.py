@@ -29,9 +29,9 @@ State values come from the same factors.  The witness value on rho is
 4(2^(N-1) - <I_svet>) + tr(rho R); both traces are one state_sum of rho
 against per-party factor tables (the F_p for <I_svet>, the S_p and M for
 tr(rho R)), so rho is the only 2^N x 2^N array evaluate_witness touches.
-The dense construction (witness_pair, element_witness, total_witness,
-svetlichny_operator with qobs.expectation) is kept as the oracle these
-formulas are tested against.
+The dense construction these formulas are tested against (witness_pair,
+element_witness, total_witness, total_defect) is in dense, which no program
+module imports; svetlichny_operator with qobs.expectation checks the values.
 """
 
 from __future__ import annotations
@@ -41,23 +41,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ineq import (
-    ChshElement,
+    PSD_TOL,
     PartyFactors,
     SignPattern,
     correlation_sum,
-    decompose_svetlichny,
     element_signs,
-    operator_sum,
     state_sum,
-    svetlichny_operator,
     trace_table,
 )
-from .opalg import anticommutator, frob_distance, frob_norm
+from .opalg import frob_norm
 from .qobs import SettingsTable, real_trace
 
 # Identity residual slack scales with dimension, like the hermiticity slack.
 ELEMENT_RESIDUAL_TOL = 1e-11
-PSD_TOL = 1e-9
 # 1e-10 of eigensolver slack scaled by the factor 4 linking witness and
 # inequality values, plus margin.
 NEGATIVITY_MARGIN = 2.5e-10
@@ -70,84 +66,11 @@ class WitnessIdentityError(RuntimeError):
     identity = "anticommutator_cancellation"
 
 
-@dataclass(frozen=True)
-class WitnessPair:
-    """Positive operators whose anticommutator is the element witness."""
-
-    x: np.ndarray
-    y: np.ndarray
-    sign_variant: tuple[int, int]
-
-
-def positivity_bounds(e: ChshElement) -> tuple[float, float]:
-    """Lower bounds on the smallest eigenvalues of the element's X and Y.
-
-    By Weyl's inequality lambda_min(2I - a(Q00 - Q11)) >= 2 - ||Q00|| - ||Q11||
-    (likewise Y with Q01, Q10), and each ||Q_w|| is a product of 2x2 factor
-    norms, so no 2^N eigensolve is needed.
-    """
-    n00, n01, n10, n11 = e.term_norms
-    return 2.0 - n00 - n11, 2.0 - n01 - n10
-
-
 def _reject_positivity(index: int, name: str, bound: float) -> None:
     raise WitnessIdentityError(
         f"element {index}: {name} is not certified positive semidefinite "
         f"(norm bound {bound:.3e})"
     )
-
-
-def witness_pair(e: ChshElement) -> WitnessPair:
-    """Build the dense 2^N x 2^N (X, Y) for a certified CHSH-type element.
-
-    Both operators are positive semidefinite since each correlation operator
-    has spectrum in [-1, 1]; positivity_bounds certifies this, and a failure
-    means some 2x2 factor has norm above 1, so it is no +/-1 observable.
-    Part of the dense oracle; factored_identities certifies every element
-    at once from the same norms.
-    """
-    a, b = e.sign_variant
-    q00, q01, q10, q11 = e.terms
-    for name, bound in zip("XY", positivity_bounds(e)):
-        if bound < -PSD_TOL:
-            _reject_positivity(e.index, name, bound)
-    eye = np.eye(q00.shape[0])
-    x = 2.0 * eye - a * (q00 - q11)
-    y = 2.0 * eye - b * (q01 + q10)
-    return WitnessPair(x=x, y=y, sign_variant=(a, b))
-
-
-def _require_residual(name: str, residual: float, dim: int) -> None:
-    if residual > ELEMENT_RESIDUAL_TOL * dim:
-        raise WitnessIdentityError(
-            f"{name}: identity residual {residual:.3e} exceeds "
-            f"{ELEMENT_RESIDUAL_TOL:.0e} * {dim}; cross-term cancellation failed"
-        )
-
-
-def element_witness(e: ChshElement) -> np.ndarray:
-    """Q_elem = {X, Y}; certified equal to 4(2I - I_elem).
-
-    Dense: the oracle for the element residuals of factored_identities.
-    """
-    pair = witness_pair(e)
-    q = anticommutator(pair.x, pair.y)
-    dim = q.shape[0]
-    target = 4.0 * (2.0 * np.eye(dim) - e.operator())
-    _require_residual(f"element {e.index}", frob_distance(q, target), dim)
-    return q
-
-
-def _kahan_sum(mats: list[np.ndarray]) -> np.ndarray:
-    """Compensated matrix summation, independent of small reorderings."""
-    total = np.zeros_like(mats[0])
-    comp = np.zeros_like(mats[0])
-    for m in mats:
-        y = m - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-    return total
 
 
 def _prefix_products(values: np.ndarray) -> np.ndarray:
@@ -160,8 +83,8 @@ def _prefix_products(values: np.ndarray) -> np.ndarray:
 
 
 def _certify_positive(norms: np.ndarray) -> None:
-    """positivity_bounds for every element at once, from the (N, 2) factor
-    norms; the first failing element is named, X before Y."""
+    """dense.positivity_bounds for every element at once, from the (N, 2)
+    factor norms; the first failing element is named, X before Y."""
     n = len(norms)
     prefix = _prefix_products(norms[: n - 2])
     n00, n01, n10, n11 = (prefix * a * b for a in norms[n - 2] for b in norms[n - 1])
@@ -189,11 +112,6 @@ class FactoredIdentities:
     squares: np.ndarray
     m: np.ndarray
     residuals: dict[str, float]
-
-    def total_defect(self) -> np.ndarray:
-        """R = Q_tot - 4(2^(N-1) I - I_op) = (sum_u c_u (x)_p S_{p,u_p}) (x) M
-        as a dense 2^N x 2^N matrix, for tests."""
-        return operator_sum(self.coeffs, [*self.squares, self.m[np.newaxis]])
 
     def defect_expectation(self, rho: np.ndarray) -> float:
         """tr(rho R) with R never built: one state_sum against the squares'
@@ -240,26 +158,6 @@ def factored_identities(
     )
 
 
-def total_witness(
-    settings: SettingsTable, pattern: SignPattern | None = None
-) -> np.ndarray:
-    """Q_tot = sum of element witnesses; certified equal to 4(2^(N-1) I - I_svet).
-
-    Dense, element by element: the oracle for factored_identities.
-    """
-    n = settings.n_parties
-    if n < 3:
-        raise ValueError(
-            "total_witness needs at least three parties; use the CHSH element for N = 2"
-        )
-    elements = decompose_svetlichny(settings, pattern)
-    total = _kahan_sum([element_witness(e) for e in elements])
-    dim = total.shape[0]
-    target = 4.0 * (2.0 ** (n - 1) * np.eye(dim) - svetlichny_operator(settings, pattern).matrix)
-    _require_residual("total", frob_distance(total, target), dim)
-    return total
-
-
 @dataclass(frozen=True)
 class WitnessReport:
     """Evaluated total witness together with its identity residuals."""
@@ -272,14 +170,7 @@ class WitnessReport:
     identity_residuals: dict[str, float]
 
     def to_json_dict(self) -> dict:
-        return {
-            "n_parties": self.n_parties,
-            "value": self.value,
-            "bound_term": self.bound_term,
-            "svet_value": self.svet_value,
-            "negative": self.negative,
-            "identity_residuals": dict(self.identity_residuals),
-        }
+        return {**vars(self), "identity_residuals": dict(self.identity_residuals)}
 
 
 def evaluate_witness(

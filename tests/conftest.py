@@ -1,5 +1,6 @@
-"""Shared test helpers: analytic optimal settings, random unitaries,
-random compatible 4-cycles, and small brute-force and kernel oracles."""
+"""Shared test helpers: analytic optimal settings, random settings tables
+from numpy's Generator, random unitaries, random compatible 4-cycles, and
+small brute-force and kernel oracles."""
 
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ from qwitness.classical import (
     evaluate_strategy,
 )
 from qwitness.ineq import cycle_from_settings
-from qwitness.qobs import BlochVector, Grouping, SettingsTable, random_settings
+from qwitness.qobs import BlochVector, Grouping, SettingsTable
 
 SQRT2 = math.sqrt(2.0)
 
@@ -39,6 +40,20 @@ def planar_settings(n: int, first_phase: float = math.pi / 4) -> SettingsTable:
                 BlochVector(math.cos(p1), math.sin(p1), 0.0),
             )
         )
+    return SettingsTable(tuple(parties))
+
+
+def random_settings(n_parties: int, rng: np.random.Generator) -> SettingsTable:
+    """Settings table with uniform-sphere directions for every slot."""
+    parties = []
+    for _ in range(n_parties):
+        pair = []
+        for _ in range(2):
+            z = rng.uniform(-1.0, 1.0)
+            phi = rng.uniform(0.0, 2.0 * math.pi)
+            r = math.sqrt(max(0.0, 1.0 - z * z))
+            pair.append(BlochVector(r * math.cos(phi), r * math.sin(phi), z))
+        parties.append(tuple(pair))
     return SettingsTable(tuple(parties))
 
 

@@ -13,16 +13,21 @@ import time
 import numpy as np
 import pytest
 
-from conftest import SQRT2, first_max_hybrid, first_max_lhv, random_compatible_cycle
+from conftest import (
+    SQRT2,
+    first_max_hybrid,
+    first_max_lhv,
+    random_compatible_cycle,
+    random_settings,
+)
 
 from qwitness import cli
 from qwitness.classical import hybrid_bound, lhv_bound, noncontextual_bound
+from qwitness.dense import chsh_element, decompose_svetlichny, witness_pair
 from qwitness.ineq import (
-    chsh_element,
     chsh_operator,
     chsh_optimal_settings,
     cycle_from_settings,
-    decompose_svetlichny,
     noncontextual_cycle,
     svetlichny_operator,
     svetlichny_pattern,
@@ -35,8 +40,8 @@ from qwitness.optimize import (
     maximize_violation,
     violation_threshold,
 )
-from qwitness.qobs import ghz_state, maximally_mixed, random_settings
-from qwitness.witness import evaluate_witness, witness_pair
+from qwitness.qobs import ghz_state, maximally_mixed
+from qwitness.witness import evaluate_witness
 
 
 def report_line(name: str, ok: bool, detail: str) -> None:

@@ -6,10 +6,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import SQRT2, planar_settings
+from conftest import SQRT2, planar_settings, random_settings
 
-from qwitness import cli, ineq, opalg, qobs, witness
-from qwitness.qobs import random_settings
+from qwitness import cli, dense, ineq, opalg, qobs, witness
 
 
 def run_cli(capsys, argv):
@@ -237,6 +236,18 @@ class TestContextuality:
         code, report, _ = run_cli(capsys, ["contextuality", "--state", "product"])
         assert code == 0
         assert report["results"]["ec_expectation"] >= -1e-10
+
+    def test_state_matrix_must_be_positive_semidefinite(self, capsys, tmp_path):
+        # Hermitian with unit trace, but one eigenvalue is negative.
+        diag = (1.5, -0.5, 0.0, 0.0)
+        rho = [[[diag[i] if i == j else 0.0, 0.0] for j in range(4)] for i in range(4)]
+        cfg = write_config(tmp_path, {"state_matrix": rho})
+        code, report, err = run_cli(capsys, ["contextuality", "--config", cfg])
+        assert code == 3
+        assert report is None
+        assert err.count("\n") == 1
+        assert err.startswith("qwitness: invalid config: ")
+        assert "positive semidefinite" in err
 
     def test_custom_incompatible_cycle(self, capsys, tmp_path):
         def as_pairs(m):
@@ -497,9 +508,9 @@ class TestFactoredPath:
         def refuse(*args, **kwargs):
             raise AssertionError("dense witness path reached")
 
-        monkeypatch.setattr(ineq.PartyFactors, "term", refuse)
-        monkeypatch.setattr(witness, "witness_pair", refuse)
-        for module in (opalg, ineq, witness):
+        monkeypatch.setattr(dense, "term", refuse)
+        monkeypatch.setattr(dense, "witness_pair", refuse)
+        for module in (opalg, ineq, dense):
             monkeypatch.setattr(module, "anticommutator", refuse)
         code, report, _ = run_cli(capsys, ["verify", "--n", "7", "--random", "2"])
         assert code == 0 and report["results"]["passed"]
@@ -518,7 +529,7 @@ class TestFactoredPath:
         def refuse(*args, **kwargs):
             raise AssertionError("dense operator path reached")
 
-        for module in (ineq, witness):
+        for module in (ineq, dense):
             monkeypatch.setattr(module, "svetlichny_operator", refuse)
             monkeypatch.setattr(module, "operator_sum", refuse)
         for module in (qobs, cli):

@@ -3,17 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from conftest import SQRT2, planar_settings, random_compatible_cycle
+from conftest import SQRT2, planar_settings, random_compatible_cycle, random_settings
 
+from qwitness.dense import chsh_element, correlation_operator, decompose_svetlichny, embed
 from qwitness.ineq import (
     CertificationError,
     SignPattern,
-    chsh_element,
     chsh_operator,
     chsh_optimal_settings,
-    correlation_operator,
     cycle_from_settings,
-    decompose_svetlichny,
     noncontextual_cycle,
     svetlichny_operator,
     svetlichny_pattern,
@@ -24,11 +22,9 @@ from qwitness.optimize import max_eigenvalue
 from qwitness.qobs import (
     BlochVector,
     SettingsTable,
-    embed,
     expectation,
     maximally_mixed,
     product_state,
-    random_settings,
 )
 
 

@@ -5,10 +5,10 @@ import pytest
 
 from conftest import eig2_closed_form, kron_loops, random_hermitian
 
-from qwitness.ineq import chsh_element, chsh_optimal_settings
+from qwitness.dense import chsh_element, witness_pair
+from qwitness.ineq import chsh_optimal_settings
 from qwitness.opalg import (
     anticommutator,
-    as_operator,
     commutator,
     frob_distance,
     hermitian_eigenvalues,
@@ -16,7 +16,6 @@ from qwitness.opalg import (
     kron,
 )
 from qwitness.qobs import IDENTITY_2, PAULI_X, PAULI_Y, PAULI_Z
-from qwitness.witness import witness_pair
 
 
 class TestKron:
@@ -168,12 +167,3 @@ class TestFrobDistance:
         with pytest.raises(ValueError):
             frob_distance(np.eye(2), np.eye(3))
 
-
-class TestAsOperator:
-    def test_rejects_non_square(self):
-        with pytest.raises(ValueError, match="square"):
-            as_operator(np.zeros((2, 3)))
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(ValueError, match="finite"):
-            as_operator(np.array([[np.nan, 0.0], [0.0, 1.0]]))

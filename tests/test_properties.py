@@ -29,15 +29,22 @@ from qwitness.classical import (
     hybrid_bound,
     lhv_bound,
 )
-from qwitness.ineq import (
+from qwitness.dense import (
     ChshElement,
+    chsh_element,
+    correlation_operator,
+    decompose_svetlichny,
+    positivity_bounds,
+    term,
+    total_defect,
+    witness_pair,
+)
+from qwitness.ineq import (
+    PSD_TOL,
     PartyFactors,
     SignPattern,
-    chsh_element,
     chsh_optimal_settings,
-    correlation_operator,
     correlation_sum,
-    decompose_svetlichny,
     svetlichny_operator,
 )
 from qwitness.opalg import anticommutator, frob_distance, hermitian_eigenvalues, is_psd
@@ -63,14 +70,7 @@ from qwitness.qobs import (
     pauli_factors,
     product_state,
 )
-from qwitness.witness import (
-    PSD_TOL,
-    WitnessIdentityError,
-    evaluate_witness,
-    factored_identities,
-    positivity_bounds,
-    witness_pair,
-)
+from qwitness.witness import WitnessIdentityError, evaluate_witness, factored_identities
 
 OPERATOR_TOL = 1e-12
 # Slack of a dense eigenvalue of X or Y (norm <= 4, dimension <= 64) against
@@ -397,7 +397,7 @@ def test_factored_identities_equal_dense_anticommutators(n, perturbed, data):
 
     rho = data.draw(density_matrices(n))
     dense_value = expectation(defect, rho)
-    assert agrees(expectation(identities.total_defect(), rho), dense_value, dim)
+    assert agrees(expectation(total_defect(identities), rho), dense_value, dim)
 
 
 @pytest.mark.parametrize("perturbed", ["all", "last_two", "none"])
@@ -411,7 +411,7 @@ def test_factored_state_values_equal_dense_expectation(n, perturbed, data):
     parties = {"all": range(n), "last_two": range(n - 2, n), "none": ()}[perturbed]
     factors = contracted_factors(data, table, parties)
     identities = factored_identities(factors, pattern)
-    inequality = sum(c * factors.term(w) for w, c in enumerate(pattern.coeffs))
+    inequality = sum(c * term(factors, w) for w, c in enumerate(pattern.coeffs))
     _, defect = dense_witness_defects(table, pattern, factors)
     states = (
         ghz_state(n),

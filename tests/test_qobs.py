@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from conftest import SQRT2, random_hermitian
+from conftest import SQRT2, random_hermitian, random_settings
 
+from qwitness.dense import embed, group_observable, parity_projector
 from qwitness.opalg import commutator, frob_norm, hermitian_eigenvalues, kron
 from qwitness.qobs import (
     IDENTITY_2,
@@ -13,15 +14,11 @@ from qwitness.qobs import (
     Grouping,
     SettingsTable,
     bloch_observable,
-    embed,
     expectation,
     ghz_state,
-    group_observable,
     maximally_mixed,
     noisy_mixture,
-    parity_projector,
     product_state,
-    random_settings,
 )
 
 

@@ -3,16 +3,18 @@ import math
 import numpy as np
 import pytest
 
-from conftest import SQRT2, planar_settings
+from conftest import SQRT2, planar_settings, random_settings
 
-from qwitness import ineq
-from qwitness.ineq import (
-    PartyFactors,
+from qwitness import dense
+from qwitness.dense import (
     chsh_element,
-    chsh_operator,
     decompose_svetlichny,
-    svetlichny_operator,
+    element_witness,
+    total_defect,
+    total_witness,
+    witness_pair,
 )
+from qwitness.ineq import PartyFactors, chsh_operator, svetlichny_operator
 from qwitness.opalg import anticommutator, frob_distance, is_psd
 from qwitness.qobs import (
     BlochVector,
@@ -21,15 +23,8 @@ from qwitness.qobs import (
     ghz_state,
     maximally_mixed,
     product_state,
-    random_settings,
 )
-from qwitness.witness import (
-    element_witness,
-    evaluate_witness,
-    factored_identities,
-    total_witness,
-    witness_pair,
-)
+from qwitness.witness import evaluate_witness, factored_identities
 
 
 class TestWitnessPair:
@@ -223,14 +218,14 @@ class TestFactoredIdentities:
         rng = np.random.default_rng(55)
         table = random_settings(4, rng)
         target = 4.0 * (8.0 * np.eye(16) - svetlichny_operator(table).matrix)
-        defect = factored_identities(PartyFactors.from_settings(table)).total_defect()
+        defect = total_defect(factored_identities(PartyFactors.from_settings(table)))
         assert frob_distance(defect, total_witness(table) - target) < 1e-12
 
     def test_decomposition_builds_terms_on_first_use(self, monkeypatch):
         def refuse(*args):
             raise AssertionError("kron called")
 
-        monkeypatch.setattr(ineq, "kron", refuse)
+        monkeypatch.setattr(dense, "kron", refuse)
         elements = decompose_svetlichny(random_settings(4, np.random.default_rng(56)))
         assert len(elements) == 4
         with pytest.raises(AssertionError, match="kron called"):

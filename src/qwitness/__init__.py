@@ -14,8 +14,9 @@ __version__ = "0.1.0"
 from .qobs import (  # noqa: F401
     BlochVector,
     Grouping,
+    NoisyGhz,
+    ProductState,
     SettingsTable,
-    bloch_observable,
     expectation,
     ghz_state,
     maximally_mixed,
@@ -60,6 +61,7 @@ from .optimize import (  # noqa: F401
 from .dense import (  # noqa: F401
     ChshElement,
     WitnessPair,
+    bloch_observable,
     chsh_element,
     decompose_svetlichny,
     element_witness,

@@ -49,15 +49,7 @@ from .opalg import (
     is_psd,
 )
 from .optimize import Lcg64, OptimizationConfig, maximize_expectation, maximize_violation
-from .qobs import (
-    BlochVector,
-    SettingsTable,
-    expectation,
-    ghz_state,
-    maximally_mixed,
-    noisy_mixture,
-    product_state,
-)
+from .qobs import BlochVector, NoisyGhz, ProductState, SettingsTable, expectation
 from .witness import (
     ELEMENT_RESIDUAL_TOL,
     WitnessIdentityError,
@@ -84,29 +76,27 @@ class ConfigError(ValueError):
     """Invalid or incomplete run configuration."""
 
 
-def _plain(x):
-    """Convert report payloads to canonical JSON-ready python types."""
-    if isinstance(x, dict):
-        return {str(k): _plain(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_plain(v) for v in x]
-    if isinstance(x, (bool, np.bool_)):
-        return bool(x)
-    if isinstance(x, (int, np.integer)):
-        return int(x)
-    if isinstance(x, (float, np.floating)):
-        return float(x)
-    if x is None or isinstance(x, str):
-        return x
+def _json_default(x):
+    """The JSON form of the numpy values a report may hold.  np.float64 is a
+    float subclass, so json writes it as a float and it never comes here."""
     if isinstance(x, np.ndarray):
-        return [_plain(v) for v in x.tolist()]
+        return x.tolist()
+    if isinstance(x, np.bool_):
+        return bool(x)
+    if isinstance(x, np.integer):
+        return int(x)
+    if isinstance(x, np.floating):
+        return float(x)
     raise TypeError(f"cannot serialize {type(x)!r}")
 
 
 def canonical_json(payload) -> str:
     """Canonical serialization: sorted keys, two-space indent, floats in
     shortest round-trip form (at most 17 significant digits)."""
-    return json.dumps(_plain(payload), sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+    return (
+        json.dumps(payload, default=_json_default, sort_keys=True, indent=2, ensure_ascii=False)
+        + "\n"
+    )
 
 
 def _inputs_digest(cfg: dict) -> str:
@@ -156,14 +146,15 @@ def _optimizer_cfg(cfg: dict) -> OptimizationConfig:
         raise ConfigError(f"bad optimizer config: {exc}")
 
 
-def _build_state(cfg: dict, n_parties: int) -> tuple[np.ndarray, str]:
+def _build_state(cfg: dict, n_parties: int) -> tuple[NoisyGhz | ProductState, str]:
+    """The configured state in structured form; matrix() gives it dense."""
     tag = cfg.get("state", "ghz")
     if not isinstance(tag, str):
         raise ConfigError(f"state must be a string tag, got {tag!r}")
     if tag == "ghz":
-        return ghz_state(n_parties), "ghz"
+        return NoisyGhz(n_parties), "ghz"
     if tag == "mixed":
-        return maximally_mixed(n_parties), "mixed"
+        return NoisyGhz(n_parties, 0.0), "mixed"
     if tag == "product":
         blochs_data = cfg.get("product_blochs")
         if blochs_data is None:
@@ -177,7 +168,7 @@ def _build_state(cfg: dict, n_parties: int) -> tuple[np.ndarray, str]:
                 raise ConfigError(
                     f"product_blochs has {len(blochs)} entries, expected {n_parties}"
                 )
-        return product_state(blochs), "product"
+        return ProductState(tuple(blochs)), "product"
     if tag.startswith("noisy-ghz:"):
         try:
             v = float(tag.split(":", 1)[1])
@@ -185,7 +176,7 @@ def _build_state(cfg: dict, n_parties: int) -> tuple[np.ndarray, str]:
             raise ConfigError(f"bad visibility in state tag {tag!r}")
         if not 0.0 <= v <= 1.0:
             raise ConfigError("visibility must lie in [0, 1]")
-        return noisy_mixture(ghz_state(n_parties), v), tag
+        return NoisyGhz(n_parties, v), tag
     raise ConfigError(f"unknown state tag {tag!r}")
 
 
@@ -287,21 +278,21 @@ def cmd_witness(cfg: dict) -> tuple[dict, int]:
     if n < 2:
         raise ConfigError("witness evaluation needs at least two parties")
     check_eig_parties(n)
-    rho, state_desc = _build_state(cfg, n)
+    state, state_desc = _build_state(cfg, n)
     table = _settings_from_cfg(cfg, n)
     optimizer_payload = None
     if table is None:
         if not cfg.get("optimize"):
             raise ConfigError("witness needs a settings table or --optimize")
         kind = "chsh" if n == 2 else "svetlichny"
-        opt = maximize_expectation(n, kind, rho, _optimizer_cfg(cfg))
+        opt = maximize_expectation(n, kind, state.matrix(), _optimizer_cfg(cfg))
         table = opt.settings
         optimizer_payload = {
             "best_value": opt.best_value,
             "iterations": opt.iterations,
             "converged": opt.converged,
         }
-    report = evaluate_witness(table, rho)
+    report = evaluate_witness(table, state)
     results = {
         "state": state_desc,
         "report": report.to_json_dict(),
@@ -356,8 +347,7 @@ def cmd_contextuality(cfg: dict) -> tuple[dict, int]:
             raise ConfigError("state_matrix must be positive semidefinite")
         ec_value = expectation(ec.matrix, rho)
     elif "state" in cfg:
-        rho, _ = _build_state(cfg, 2)
-        ec_value = expectation(ec.matrix, rho)
+        ec_value = expectation(ec.matrix, _build_state(cfg, 2)[0].matrix())
 
     passed = (
         all(v <= EXACT_IDENTITY_TOL for v in residuals.values())

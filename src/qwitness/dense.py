@@ -18,7 +18,7 @@ from .ineq import (
     svetlichny_operator,
 )
 from .opalg import anticommutator, frob_distance, frob_norm, kron
-from .qobs import IDENTITY_2, Grouping, SettingsTable
+from .qobs import IDENTITY_2, PAULI_X, PAULI_Y, PAULI_Z, BlochVector, Grouping, SettingsTable
 from .witness import (
     ELEMENT_RESIDUAL_TOL,
     FactoredIdentities,
@@ -27,6 +27,12 @@ from .witness import (
 )
 
 INVOLUTION_TOL = 1e-11
+
+
+def bloch_observable(n: BlochVector) -> np.ndarray:
+    """n.sigma: the +/-1-valued qubit observable along direction n, one
+    vector at a time; the oracle for qobs.pauli_factors."""
+    return n.x * PAULI_X + n.y * PAULI_Y + n.z * PAULI_Z
 
 
 def embed(obs: np.ndarray, party: int, n_parties: int) -> np.ndarray:

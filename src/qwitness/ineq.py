@@ -116,8 +116,8 @@ class InequalityOperator:
 @dataclass(frozen=True)
 class PartyFactors:
     """Each party's two Hermitian 2x2 Kronecker factors, stacked as (party,
-    setting, 2, 2), and their spectral norms, computed once per table in one
-    batched call so that a term and its norm bound cannot disagree."""
+    setting, 2, 2), and their spectral norms, computed once per table so that
+    a term and its norm bound cannot disagree."""
 
     observables: np.ndarray
     norms: np.ndarray = field(init=False)
@@ -128,8 +128,12 @@ class PartyFactors:
         defect = frob_norm(obs - np.conj(np.swapaxes(obs, -1, -2)))
         if defect > HERMITICITY_TOL * 2:
             raise ValueError(f"factors are not Hermitian: defect {defect:.3e}")
+        # The spectral norm of [[a, b], [b*, d]] in closed form: its
+        # eigenvalues are (a + d)/2 +/- sqrt(((a - d)/2)^2 + |b|^2).
+        a, d = obs[..., 0, 0].real, obs[..., 1, 1].real
+        norms = np.abs((a + d) / 2.0) + np.hypot((a - d) / 2.0, np.abs(obs[..., 0, 1]))
         object.__setattr__(self, "observables", obs)
-        object.__setattr__(self, "norms", np.linalg.norm(obs, 2, axis=(-2, -1)))
+        object.__setattr__(self, "norms", norms)
 
     @classmethod
     def from_settings(cls, settings: SettingsTable) -> "PartyFactors":
@@ -140,6 +144,16 @@ class PartyFactors:
         word's trace is one entry of a state_sum against the factor tables."""
         words = state_sum(rho, list(trace_table(self.observables))).reshape(-1)
         return real_trace(np.dot(coeffs, words))
+
+    def svetlichny_value(self, state) -> float:
+        """The Svetlichny sum's value on a state with a trace_product method
+        (qobs.NoisyGhz, qobs.ProductState, DenseState), from one Kronecker
+        product.  The sign (-1)^floor(k/2) is sqrt(2) Re(e^{-i pi/4} i^k),
+        so the operator is the Hermitian part of (1 - i) (x)_p (F_p0 + i F_p1)
+        and its value is Re((1 - i) t) = Re t + Im t for
+        t = tr(rho (x)_p (F_p0 + i F_p1))."""
+        t = state.trace_product(self.observables[:, 0] + 1j * self.observables[:, 1])
+        return t.real + t.imag
 
 
 def correlation_sum(coeffs, factors) -> np.ndarray:
@@ -194,6 +208,27 @@ def state_sum(rho: np.ndarray, tables) -> np.ndarray:
         [axis for p in range(n) for axis in (p, n + p)]
     )
     return correlation_sum(pairs, tables)
+
+
+@dataclass(frozen=True)
+class DenseState:
+    """A density matrix behind the structured states' interface
+    (qobs.NoisyGhz, qobs.ProductState): trace_product is one state_sum with
+    width-1 tables."""
+
+    rho: np.ndarray
+
+    @property
+    def n_parties(self) -> int:
+        return len(self.rho).bit_length() - 1
+
+    def trace_product(self, factors) -> complex:
+        """tr(rho (x)_p X_p) for square factors X_p, party 0 leftmost."""
+        tables = [trace_table(np.asarray(x)[np.newaxis]) for x in factors]
+        return complex(state_sum(self.rho, tables).reshape(()))
+
+    def matrix(self) -> np.ndarray:
+        return self.rho
 
 
 def operator_sum(coeffs, factors) -> np.ndarray:

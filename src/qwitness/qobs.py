@@ -3,6 +3,11 @@
 Dichotomic observables are realized as Bloch-parametrized qubit operators
 n.sigma (Hermitian, squaring to the identity).  Party 0 is always the
 leftmost tensor factor; |0> is the +1 eigenvector of sigma_z.
+
+The reference states come in two forms: dense 2^N x 2^N matrices
+(ghz_state, maximally_mixed, product_state, noisy_mixture) and structured
+states (NoisyGhz, ProductState) whose trace_product evaluates
+tr(rho (x)_p X_p) from the factors in O(N), with matrix() for the dense form.
 """
 
 from __future__ import annotations
@@ -48,11 +53,6 @@ class BlochVector:
 
     def as_list(self) -> list[float]:
         return [self.x, self.y, self.z]
-
-
-def bloch_observable(n: BlochVector) -> np.ndarray:
-    """n.sigma: the +/-1-valued qubit observable along direction n."""
-    return n.x * PAULI_X + n.y * PAULI_Y + n.z * PAULI_Z
 
 
 def pauli_factors(bloch) -> np.ndarray:
@@ -103,10 +103,9 @@ class SettingsTable:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "SettingsTable":
-        parties = tuple(
-            (BlochVector(*pair[0]), BlochVector(*pair[1])) for pair in data["parties"]
-        )
-        return cls(parties)
+        # Every vector of a party is read, so that the table rejects a party
+        # with other than two.
+        return cls(tuple(tuple(BlochVector(*v) for v in pair) for pair in data["parties"]))
 
 
 @dataclass(frozen=True)
@@ -168,6 +167,88 @@ def noisy_mixture(rho: np.ndarray, v: float) -> np.ndarray:
         raise ValueError("visibility must lie in [0, 1]")
     dim = rho.shape[0]
     return v * rho + (1.0 - v) * np.eye(dim) / dim
+
+
+def _check_dimension(n_parties: int, factors) -> None:
+    """Square factors for a trace_product must act on exactly N qubits."""
+    dim = math.prod(len(x) for x in factors)
+    if dim != 2**n_parties:
+        raise ValueError(f"factors act on dimension {dim}, the state on 2^{n_parties}")
+
+
+@dataclass(frozen=True)
+class NoisyGhz:
+    """v GHZ + (1 - v) I/d on N qubits; the GHZ state is v = 1, the maximally
+    mixed state v = 0.
+
+    trace_product needs no 2^N array.  The GHZ projector's four nonzero
+    entries pair |0...0> and |1...1>, so tr(GHZ (x)_p X_p) is
+    1/2 sum_ij prod_p X_p[i, j], where i, j in {0, 1} pick the first or last
+    index of each factor (0 or 3 for a 4 x 4 one), and
+    tr(I/d (x)_p X_p) is prod_p tr X_p / d_p.
+    """
+
+    n_parties: int
+    visibility: float = 1.0
+
+    def __post_init__(self):
+        if self.n_parties < 2:
+            raise ValueError("a GHZ state needs at least two qubits")
+        if not 0.0 <= self.visibility <= 1.0:
+            raise ValueError("visibility must lie in [0, 1]")
+
+    def trace_product(self, factors) -> complex:
+        """tr(rho (x)_p X_p) for square factors X_p, party 0 leftmost."""
+        _check_dimension(self.n_parties, factors)
+        corners = np.array([x[:: len(x) - 1, :: len(x) - 1] for x in factors])
+        ghz = corners.prod(axis=0).sum() / 2.0
+        mixed = math.prod(x.trace() / len(x) for x in factors)
+        return complex(self.visibility * ghz + (1.0 - self.visibility) * mixed)
+
+    def matrix(self) -> np.ndarray:
+        """The dense 2^N x 2^N density matrix."""
+        if self.visibility == 0.0:
+            return maximally_mixed(self.n_parties)
+        rho = ghz_state(self.n_parties)
+        return rho if self.visibility == 1.0 else noisy_mixture(rho, self.visibility)
+
+
+@dataclass(frozen=True)
+class ProductState:
+    """(x)_p (I + n_p.sigma)/2, one pure qubit state per party.
+
+    trace_product needs no 2^N array: tr(rho (x)_p X_p) is
+    prod_p tr(rho_p X_p), and a 4 x 4 factor meets the product of its two
+    parties' states.
+    """
+
+    blochs: tuple[BlochVector, ...]
+
+    def __post_init__(self):
+        blochs = tuple(self.blochs)
+        if not blochs or not all(isinstance(v, BlochVector) for v in blochs):
+            raise ValueError("a product state needs one Bloch vector per qubit")
+        object.__setattr__(self, "blochs", blochs)
+
+    @property
+    def n_parties(self) -> int:
+        return len(self.blochs)
+
+    def trace_product(self, factors) -> complex:
+        """tr(rho (x)_p X_p) for square factors X_p, party 0 leftmost."""
+        _check_dimension(self.n_parties, factors)
+        states = iter((IDENTITY_2 + pauli_factors([v.as_list() for v in self.blochs])) / 2.0)
+        out = 1.0 + 0.0j
+        for x in factors:
+            local = next(states)
+            while len(local) < len(x):
+                local = np.kron(local, next(states))
+            out *= np.sum(local * x.T)
+        return complex(out)
+
+    def matrix(self) -> np.ndarray:
+        """The dense 2^N x 2^N density matrix."""
+        return product_state(self.blochs)
 
 
 def real_trace(tr) -> float:

@@ -20,18 +20,28 @@ any factors, involutory or not,
 
 so an element's Frobenius residual is prod_p ||S_p||_F * ||M||_F, a 4 x 4
 computation.  Summed over the elements the total witness misses its target
-by R = (sum_u c_u (x)_p S_{p,u_p}) (x) M with c_u = a_u b_u, and ||R||_F
-follows from the 2 x 2 Gram matrices of each party's two squares.
-Involutory factors give S = I and M = 0, so the residuals are the exact
-residuals of the computed factors and are often exactly 0.0.
+by R = (sum_u c_u (x)_p S_{p,u_p}) (x) M with c_u = a_u b_u.  For the
+Svetlichny pattern c_u = (-1)^popcount(u), so R = (x)_p (S_p0 - S_p1) (x) M
+is one Kronecker product and ||R||_F the product of its factors' norms; for
+any other pattern ||R||_F follows from the 2 x 2 Gram matrices of each
+party's two squares.  Involutory factors give S = I and M = 0, so the
+residuals are the exact residuals of the computed factors and are often
+exactly 0.0.
 
 State values come from the same factors.  The witness value on rho is
-4(2^(N-1) - <I_svet>) + tr(rho R); both traces are one state_sum of rho
-against per-party factor tables (the F_p for <I_svet>, the S_p and M for
-tr(rho R)), so rho is the only 2^N x 2^N array evaluate_witness touches.
-The dense construction these formulas are tested against (witness_pair,
-element_witness, total_witness, total_defect) is in dense, which no program
-module imports; svetlichny_operator with qobs.expectation checks the values.
+4(2^(N-1) - <I_svet>) + tr(rho R).  The Svetlichny sign (-1)^floor(k/2) is
+sqrt(2) Re(e^{-i pi/4} i^k), so the Svetlichny operator is the Hermitian
+part of (1 - i) (x)_p (F_p0 + i F_p1) (the Mermin-Ardehali-Belinskii-Klyshko
+product form) and both traces are traces of Kronecker products.  A state's
+trace_product evaluates tr(rho (x)_p X_p): in O(N) on the structured states
+qobs.NoisyGhz and qobs.ProductState, which are never made dense, and as one
+state_sum on a density matrix (ineq.DenseState).  Any other sign pattern
+takes the coefficient path, one state_sum of state.matrix() against
+per-party factor tables for each trace.  No 2^N x 2^N operator is built
+on either path.  The dense construction these formulas are tested against
+(witness_pair, element_witness, total_witness, total_defect) is in dense,
+which no program module imports; svetlichny_operator with qobs.expectation
+checks the values.
 """
 
 from __future__ import annotations
@@ -42,11 +52,13 @@ import numpy as np
 
 from .ineq import (
     PSD_TOL,
+    DenseState,
     PartyFactors,
     SignPattern,
     correlation_sum,
     element_signs,
     state_sum,
+    svetlichny_pattern,
     trace_table,
 )
 from .opalg import frob_norm
@@ -104,7 +116,10 @@ class FactoredIdentities:
     ``squares`` the fixed parties' S_{p,s} = F_{p,s}^2 with shape
     (N-2, 2, 2, 2), and ``m`` the 4 x 4 factor M that every element shares.
     ``residuals`` maps ``chsh_4e`` (N = 2) or ``element_xi<k>`` per element,
-    and ``total``, to the Frobenius norms of the defects.
+    and ``total``, to the Frobenius norms of the defects.  For the Svetlichny
+    pattern ``differences`` holds the fixed parties' S_{p,0} - S_{p,1}, of
+    shape (N-2, 2, 2), whose Kronecker product with M is R; for any other
+    pattern it is None.
     """
 
     signs: np.ndarray
@@ -112,6 +127,7 @@ class FactoredIdentities:
     squares: np.ndarray
     m: np.ndarray
     residuals: dict[str, float]
+    differences: np.ndarray | None = None
 
     def defect_expectation(self, rho: np.ndarray) -> float:
         """tr(rho R) with R never built: one state_sum against the squares'
@@ -119,6 +135,12 @@ class FactoredIdentities:
         which act on rho as one party of dimension 4."""
         tables = [*trace_table(self.squares), trace_table(self.m[np.newaxis])]
         return real_trace(np.dot(self.coeffs, state_sum(rho, tables).reshape(-1)))
+
+    def defect_trace(self, state) -> float:
+        """tr(rho R) for the Svetlichny pattern, as one trace_product of a
+        state (qobs.NoisyGhz, qobs.ProductState, ineq.DenseState) with R's
+        Kronecker factors."""
+        return real_trace(state.trace_product([*self.differences, self.m]))
 
 
 def factored_identities(
@@ -145,16 +167,29 @@ def factored_identities(
     residuals = dict(zip(keys, element.tolist()))
 
     coeffs = (signs[:, 0] * signs[:, 1]).astype(np.float64)
-    # ||sum_u c_u (x)_p S_{p,u_p}||_F^2 = c^T ((x)_p G_p) c, with G_p the Gram
-    # matrix of party p's two squares.  Writing G_p = L_p L_p^H makes it the
-    # squared 2-norm of one O(N 2^N) correlation_sum, which cannot cancel
-    # below zero.  QR of V^H = [vec S_0, vec S_1] gives G = V V^H = R^H R.
-    flat = np.conj(fixed.reshape(n - 2, 2, 4)).swapaxes(-1, -2)
-    gram_roots = np.conj(np.linalg.qr(flat, mode="r")).swapaxes(-1, -2)
-    prefix_norm = float(np.linalg.norm(correlation_sum(coeffs, gram_roots)))
+    differences = None
+    if pattern is None or pattern == svetlichny_pattern(n):
+        # Here c_u = (-1)^popcount(u), so R = (x)_p (S_p0 - S_p1) (x) M and
+        # its Frobenius norm is the product of the factors' norms.
+        differences = fixed[:, 0] - fixed[:, 1]
+        prefix_norm = float(np.prod(np.linalg.norm(differences, axis=(-2, -1))))
+    else:
+        # ||sum_u c_u (x)_p S_{p,u_p}||_F^2 = c^T ((x)_p G_p) c, with G_p the
+        # Gram matrix of party p's two squares.  Writing G_p = L_p L_p^H
+        # makes it the squared 2-norm of one O(N 2^N) correlation_sum, which
+        # cannot cancel below zero.  QR of V^H = [vec S_0, vec S_1] gives
+        # G = V V^H = R^H R.
+        flat = np.conj(fixed.reshape(n - 2, 2, 4)).swapaxes(-1, -2)
+        gram_roots = np.conj(np.linalg.qr(flat, mode="r")).swapaxes(-1, -2)
+        prefix_norm = float(np.linalg.norm(correlation_sum(coeffs, gram_roots)))
     residuals["total"] = prefix_norm * m_norm
     return FactoredIdentities(
-        signs=signs, coeffs=coeffs, squares=fixed, m=m, residuals=residuals
+        signs=signs,
+        coeffs=coeffs,
+        squares=fixed,
+        m=m,
+        residuals=residuals,
+        differences=differences,
     )
 
 
@@ -174,28 +209,41 @@ class WitnessReport:
 
 
 def evaluate_witness(
-    settings: SettingsTable, rho: np.ndarray, pattern: SignPattern | None = None
+    settings: SettingsTable, state, pattern: SignPattern | None = None
 ) -> WitnessReport:
     """Evaluate the total witness and the inequality on a state.
 
-    The witness value is 4(2^(N-1) - <I_svet>) + tr(rho R), with R the
-    factored identity defect.  Both traces come from the 2x2 factors
-    (PartyFactors.expectation, FactoredIdentities.defect_expectation): no
-    2^N x 2^N operator is built and no 2^N x 2^N product is taken, so rho is
-    the only array of that size.  The negativity flag fires iff the
-    inequality expectation exceeds the classical bound 2^(N-1) by more than
-    NEGATIVITY_MARGIN, equivalently iff the witness value drops below
-    -4 * NEGATIVITY_MARGIN.
+    ``state`` is a density matrix or a structured state (qobs.NoisyGhz,
+    qobs.ProductState).  The witness value is 4(2^(N-1) - <I_svet>) +
+    tr(rho R), with R the factored identity defect.  For the Svetlichny
+    pattern both traces are one trace_product each (PartyFactors.
+    svetlichny_value, FactoredIdentities.defect_trace), so a structured
+    state is never made dense; any other pattern takes the coefficient path
+    (PartyFactors.expectation, FactoredIdentities.defect_expectation) on
+    state.matrix().  No 2^N x 2^N operator is built on either path.  The
+    negativity flag fires iff the inequality expectation exceeds the
+    classical bound 2^(N-1) by more than NEGATIVITY_MARGIN, equivalently iff
+    the witness value drops below -4 * NEGATIVITY_MARGIN.
     """
     n = settings.n_parties
-    dim = 2**n
-    if rho.shape != (dim, dim):
-        raise ValueError(f"state has shape {rho.shape}, expected {(dim, dim)}")
+    if isinstance(state, np.ndarray):
+        dim = 2**n
+        if state.shape != (dim, dim):
+            raise ValueError(f"state has shape {state.shape}, expected {(dim, dim)}")
+        state = DenseState(state)
+    if state.n_parties != n:
+        raise ValueError(f"state has {state.n_parties} qubits, settings {n} parties")
     factors = PartyFactors.from_settings(settings)
     identities = factored_identities(factors, pattern)
     bound = float(2 ** (n - 1))
-    svet_value = factors.expectation(identities.signs.reshape(-1), rho)
-    value = 4.0 * (bound - svet_value) + identities.defect_expectation(rho)
+    if identities.differences is not None:
+        svet_value = factors.svetlichny_value(state)
+        defect = identities.defect_trace(state)
+    else:
+        rho = state.matrix()
+        svet_value = factors.expectation(identities.signs.reshape(-1), rho)
+        defect = identities.defect_expectation(rho)
+    value = 4.0 * (bound - svet_value) + defect
     if abs(value - 4.0 * (bound - svet_value)) > VALUE_CROSSCHECK_TOL:
         raise WitnessIdentityError(
             "witness value and inequality value disagree beyond tolerance"

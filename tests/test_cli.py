@@ -340,6 +340,107 @@ class TestReportContract:
         assert "parties" in err
 
 
+def tree_walk_json(payload) -> str:
+    """canonical_json as it was before numpy values went through json's
+    default hook: one recursive conversion of the whole payload first."""
+
+    def plain(x):
+        if isinstance(x, dict):
+            return {str(k): plain(v) for k, v in x.items()}
+        if isinstance(x, (list, tuple)):
+            return [plain(v) for v in x]
+        if isinstance(x, (bool, np.bool_)):
+            return bool(x)
+        if isinstance(x, (int, np.integer)):
+            return int(x)
+        if isinstance(x, (float, np.floating)):
+            return float(x)
+        if x is None or isinstance(x, str):
+            return x
+        if isinstance(x, np.ndarray):
+            return [plain(v) for v in x.tolist()]
+        raise TypeError(f"cannot serialize {type(x)!r}")
+
+    return json.dumps(plain(payload), sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+
+
+class TestCanonicalJson:
+    """canonical_json writes every payload byte for byte as the recursive
+    conversion it replaced."""
+
+    def test_every_command_matches_the_tree_walk(self, capsys, tmp_path, monkeypatch):
+        payloads = []
+        original = cli.canonical_json
+
+        def recording(payload):
+            payloads.append(payload)
+            return original(payload)
+
+        monkeypatch.setattr(cli, "canonical_json", recording)
+        settings = write_config(tmp_path, {"settings": planar_settings(3).to_json_dict()})
+        optimizer = write_config(tmp_path, {"optimizer": SMALL_OPT}, name="opt.json")
+        rho = [[[0.25 if i == j else 0.0, 0.0] for j in range(4)] for i in range(4)]
+        state_matrix = write_config(tmp_path, {"state_matrix": rho}, name="rho.json")
+        argvs = [
+            ["verify", "--n", "2", "--random", "3"],
+            ["verify", "--n", "4", "--random", "2", "--seed", "9"],
+            ["verify", "--n", "3", "--random", "1", "--corrupt-sign", "3"],
+            ["bounds", "--n", "2"],
+            ["bounds", "--n", "4"],
+            ["bounds", "--n", "5"],
+            ["optimize", "--n", "3", "--config", optimizer],
+            *(
+                ["witness", "--n", "3", "--state", state, "--config", settings]
+                for state in ("ghz", "mixed", "noisy-ghz:0.8", "product")
+            ),
+            ["witness", "--n", "2", "--state", "noisy-ghz:0.9", "--optimize",
+             "--config", optimizer],
+            ["contextuality"],
+            ["contextuality", "--state", "product"],
+            ["contextuality", "--config", state_matrix],
+        ]
+        for argv in argvs:
+            assert cli.main(argv) in (0, 2)
+            capsys.readouterr()
+        # Each run serializes its config for inputs_digest, then its report.
+        assert len(payloads) == 2 * len(argvs)
+        for payload in payloads:
+            assert original(payload) == tree_walk_json(payload)
+
+    def test_numpy_values_match_the_tree_walk(self):
+        payload = {
+            "flag": np.bool_(True),
+            "count": np.int64(3),
+            "single": np.float32(0.1),
+            "double": np.float64(1.0) / 3.0,
+            "vector": np.arange(3),
+            "matrix": np.array([[0.1, np.inf], [-0.0, 2.5e-300]]),
+            "pair": (1, 2.5),
+            "nested": [{"b": None, "a": "x"}],
+        }
+        assert cli.canonical_json(payload) == tree_walk_json(payload)
+
+    def test_unknown_type_rejected(self):
+        with pytest.raises(TypeError, match="cannot serialize"):
+            cli.canonical_json({"x": object()})
+
+
+class TestSettingsPartySize:
+    """A config party with other than two Bloch vectors is an invalid config."""
+
+    @pytest.mark.parametrize("command", ["verify", "witness"])
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_exits_three_with_one_line(self, capsys, tmp_path, command, count):
+        parties = planar_settings(3).to_json_dict()["parties"]
+        parties[1] = [parties[1][0]] * count
+        cfg = write_config(tmp_path, {"settings": {"parties": parties}})
+        code, report, err = run_cli(capsys, [command, "--n", "3", "--config", cfg])
+        assert code == 3
+        assert report is None
+        assert err.count("\n") == 1
+        assert "exactly two Bloch vectors" in err
+
+
 class TestEigensolverCap:
     """Commands that need a 2^N eigensolve stop at once above the cap."""
 
@@ -541,6 +642,26 @@ class TestFactoredPath:
         )
         assert code == 0
         assert report["results"]["report"]["negative"] is False
+
+
+    def test_witness_builds_no_dense_state(self, capsys, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense state built")
+
+        for name in ("ghz_state", "noisy_mixture", "maximally_mixed", "product_state"):
+            for module in (qobs, cli):
+                monkeypatch.setattr(module, name, refuse, raising=False)
+        table = random_settings(8, np.random.default_rng(10))
+        cfg = write_config(tmp_path, {"settings": table.to_json_dict()})
+        for state in ("ghz", "mixed", "noisy-ghz:0.8", "product"):
+            code, report, _ = run_cli(
+                capsys, ["witness", "--n", "8", "--state", state, "--config", cfg]
+            )
+            assert code == 0
+            assert report["results"]["state"] == state
+        # The optimizer needs the dense state, so there the patch bites.
+        with pytest.raises(AssertionError, match="dense state built"):
+            cli.main(["witness", "--n", "3", "--state", "ghz", "--optimize"])
 
 
 def flipped_svetlichny_pattern(n):

@@ -16,6 +16,7 @@ PROGRAM_MODULES = ("cli", "witness", "optimize", "classical", "ineq", "qobs", "o
 MOVED_EXPORTS = (
     "ChshElement",
     "WitnessPair",
+    "bloch_observable",
     "chsh_element",
     "decompose_svetlichny",
     "element_witness",

@@ -6,7 +6,9 @@ mode-product kernel (ineq.correlation_sum) through the classical bounds, the
 inequality operators and the see-saw optimizer's values and updates, the
 norm certificate for the witness pairs against dense eigenvalues, the
 factored identity residuals and state values against the dense
-anticommutators and expectations, and the kernel itself against its
+anticommutators and expectations, the structured states' trace products
+and the Svetlichny Kronecker-product values against dense traces, the
+closed-form factor norms against the SVD, and the kernel itself against its
 np.tensordot oracle.  Example counts are bounded and derandomized so the
 suite stays fast and repeatable; the explain phase is skipped so that a
 failing property reports quickly.
@@ -31,6 +33,7 @@ from qwitness.classical import (
 )
 from qwitness.dense import (
     ChshElement,
+    bloch_observable,
     chsh_element,
     correlation_operator,
     decompose_svetlichny,
@@ -41,11 +44,14 @@ from qwitness.dense import (
 )
 from qwitness.ineq import (
     PSD_TOL,
+    DenseState,
     PartyFactors,
     SignPattern,
     chsh_optimal_settings,
     correlation_sum,
+    operator_sum,
     svetlichny_operator,
+    svetlichny_pattern,
 )
 from qwitness.opalg import anticommutator, frob_distance, hermitian_eigenvalues, is_psd
 from qwitness.optimize import (
@@ -61,8 +67,9 @@ from qwitness.qobs import (
     IDENTITY_2,
     BlochVector,
     Grouping,
+    NoisyGhz,
+    ProductState,
     SettingsTable,
-    bloch_observable,
     expectation,
     ghz_state,
     maximally_mixed,
@@ -424,6 +431,105 @@ def test_factored_state_values_equal_dense_expectation(n, perturbed, data):
         assert abs(identities.defect_expectation(rho) - expectation(defect, rho)) <= OPERATOR_TOL
 
 
+def dense_trace(rho, factors):
+    """tr(rho (x)_p X_p) with the Kronecker product built."""
+    op = np.array([[1.0 + 0.0j]])
+    for x in factors:
+        op = np.kron(op, x)
+    return np.einsum("ij,ji->", op, rho)
+
+
+def square_factors(data, n):
+    """Random complex factors on n qubits, 2 x 2 each, with the last two
+    qubits sometimes one 4 x 4 block, as in R's Kronecker factors."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    sizes = [2] * (n - 2) + ([4] if data.draw(st.booleans()) else [2, 2])
+    return [rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)) for d in sizes]
+
+
+def structured_states(data, n):
+    """GHZ, maximally mixed, noisy GHZ, product, and a random dense state."""
+    blochs = data.draw(st.lists(unit_vectors, min_size=n, max_size=n))
+    return (
+        NoisyGhz(n),
+        NoisyGhz(n, 0.0),
+        NoisyGhz(n, data.draw(st.floats(0.0, 1.0))),
+        ProductState(tuple(blochs)),
+        DenseState(data.draw(density_matrices(n))),
+    )
+
+
+# |tr(rho (x)_p X_p)| <= prod_p ||X_p||_F for a state, so the traces are
+# compared relative to that product; the Svetlichny values, bounded by
+# 2^(N-1) sqrt(2), relative to 2^(N-1).
+TRACE_PRODUCT_TOL = 1e-14
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
+@bounded(4)
+@given(data=st.data())
+def test_trace_product_equals_dense_trace(n, data):
+    factors = square_factors(data, n)
+    scale = math.prod(float(np.linalg.norm(x)) for x in factors)
+    for state in structured_states(data, n):
+        dense = dense_trace(state.matrix(), factors)
+        assert abs(state.trace_product(factors) - dense) <= TRACE_PRODUCT_TOL * scale
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
+@bounded(3)
+@given(data=st.data())
+def test_svetlichny_values_equal_dense_oracle(n, data):
+    # evaluate_witness's Kronecker-product values against the dense
+    # operator and the dense defect on each state's matrix.
+    table = data.draw(settings_tables(n))
+    operator = svetlichny_operator(table).matrix
+    defect = total_defect(factored_identities(PartyFactors.from_settings(table)))
+    bound = 2.0 ** (n - 1)
+    for state in structured_states(data, n):
+        report = evaluate_witness(table, state)
+        rho = state.matrix()
+        svet = expectation(operator, rho)
+        assert abs(report.svet_value - svet) <= TRACE_PRODUCT_TOL * bound
+        dense_value = 4.0 * (bound - svet) + expectation(defect, rho)
+        assert abs(report.value - dense_value) <= 4.0 * TRACE_PRODUCT_TOL * bound
+
+
+@pytest.mark.parametrize("perturbed", ["all", "last_two", "none"])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
+@bounded(3)
+@given(data=st.data())
+def test_kronecker_defect_equals_dense_defect(n, perturbed, data):
+    # For the Svetlichny pattern R = (x)_p (S_p0 - S_p1) (x) M; the oracle is
+    # dense.total_defect, the coefficient sum over the elements.
+    table = data.draw(settings_tables(n))
+    parties = {"all": range(n), "last_two": range(n - 2, n), "none": ()}[perturbed]
+    factors = contracted_factors(data, table, parties)
+    identities = factored_identities(factors)
+    defect = total_defect(identities)
+    assert agrees(identities.residuals["total"], float(np.linalg.norm(defect)), 2**n)
+    coeffs = np.array(svetlichny_pattern(n).coeffs, dtype=np.float64)
+    inequality = operator_sum(coeffs, factors.observables)
+    bound = 2.0 ** (n - 1)
+    for state in structured_states(data, n):
+        rho = state.matrix()
+        assert abs(identities.defect_trace(state) - expectation(defect, rho)) <= OPERATOR_TOL
+        svet = expectation(inequality, rho)
+        assert abs(factors.svetlichny_value(state) - svet) <= TRACE_PRODUCT_TOL * bound
+
+
+finite_entries = st.floats(-4.0, 4.0, allow_subnormal=False)
+
+
+@bounded(50)
+@given(matrices=st.lists(st.tuples(*[finite_entries] * 4), min_size=1, max_size=6))
+def test_closed_form_norms_equal_svd_norms(matrices):
+    # Hermitian [[a, b], [b*, d]] from (a, d, Re b, Im b), as a (k, 1, 2, 2) stack.
+    obs = np.array([[[[a, re + 1j * im], [re - 1j * im, d]]] for a, d, re, im in matrices])
+    svd = np.linalg.norm(obs, 2, axis=(-2, -1))
+    assert np.all(np.abs(PartyFactors(obs).norms - svd) <= 8 * np.spacing(svd))
+
+
 KERNEL_DTYPES = (np.int64, np.float64, np.complex128)
 
 
@@ -474,12 +580,16 @@ def test_kernel_matches_tensordot_oracle(shapes):
         assert np.array_equal(fast, oracle)
 
 
-@pytest.mark.parametrize("shapes", [[(2,)] * 3, [(4,)] * 2, [(2, 1)] * 3], ids=_shape_id)
+@pytest.mark.parametrize(
+    "shapes",
+    [[(2,)] * 3, [(4,)] * 2, [(2, 1)] * 3, [(4, 1)] * 3, [(4, 1), (4, 1), (16, 1)]],
+    ids=_shape_id,
+)
 def test_kernel_vector_factors_within_rounding(shapes):
     # With factors of width 1 each step is a matrix-vector product, and
     # BLAS may pick another routine for the transposed view than for
     # tensordot's copy, so only the rounding bound of the sum is required.
-    # No caller passes such factors.
+    # DenseState.trace_product passes the (4, 1) and (16, 1) tables.
     eps = np.finfo(np.float64).eps
     for coeffs, factors in _kernel_cases(shapes, len(shapes)):
         fast = correlation_sum(coeffs, factors)

@@ -3,7 +3,7 @@ import pytest
 
 from conftest import SQRT2, random_hermitian, random_settings
 
-from qwitness.dense import embed, group_observable, parity_projector
+from qwitness.dense import bloch_observable, embed, group_observable, parity_projector
 from qwitness.opalg import commutator, frob_norm, hermitian_eigenvalues, kron
 from qwitness.qobs import (
     IDENTITY_2,
@@ -12,8 +12,9 @@ from qwitness.qobs import (
     PAULI_Z,
     BlochVector,
     Grouping,
+    NoisyGhz,
+    ProductState,
     SettingsTable,
-    bloch_observable,
     expectation,
     ghz_state,
     maximally_mixed,
@@ -193,6 +194,38 @@ class TestStates:
     def test_noisy_mixture_rejects_bad_visibility(self):
         with pytest.raises(ValueError):
             noisy_mixture(ghz_state(2), 1.5)
+
+
+class TestStructuredStates:
+    def test_noisy_ghz_matrices_are_the_dense_constructors(self):
+        assert np.array_equal(NoisyGhz(3).matrix(), ghz_state(3))
+        assert np.array_equal(NoisyGhz(3, 0.0).matrix(), maximally_mixed(3))
+        assert np.array_equal(NoisyGhz(3, 0.4).matrix(), noisy_mixture(ghz_state(3), 0.4))
+
+    def test_product_matrix_is_the_dense_constructor(self):
+        blochs = (BlochVector(0, 0, 1), BlochVector(1, 0, 0))
+        assert np.array_equal(ProductState(blochs).matrix(), product_state(blochs))
+
+    @pytest.mark.parametrize(
+        "build, match",
+        [
+            (lambda: NoisyGhz(1), "two qubits"),
+            (lambda: NoisyGhz(3, 1.5), "visibility"),
+            (lambda: NoisyGhz(3, float("nan")), "visibility"),
+            (lambda: ProductState(()), "Bloch vector"),
+            (lambda: ProductState(([0.0, 0.0, 1.0],)), "Bloch vector"),
+        ],
+    )
+    def test_invalid_states_rejected(self, build, match):
+        with pytest.raises(ValueError, match=match):
+            build()
+
+    @pytest.mark.parametrize(
+        "state", [NoisyGhz(3), ProductState((BlochVector(0, 0, 1),) * 3)]
+    )
+    def test_factors_must_cover_the_state(self, state):
+        with pytest.raises(ValueError, match="dimension"):
+            state.trace_product([PAULI_Z, PAULI_Z])
 
 
 class TestExpectation:

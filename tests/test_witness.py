@@ -14,17 +14,25 @@ from qwitness.dense import (
     total_witness,
     witness_pair,
 )
-from qwitness.ineq import PartyFactors, chsh_operator, svetlichny_operator
+from qwitness.ineq import (
+    PartyFactors,
+    SignPattern,
+    chsh_operator,
+    svetlichny_operator,
+    svetlichny_pattern,
+)
 from qwitness.opalg import anticommutator, frob_distance, is_psd
 from qwitness.qobs import (
     BlochVector,
+    NoisyGhz,
+    ProductState,
     SettingsTable,
     expectation,
     ghz_state,
     maximally_mixed,
     product_state,
 )
-from qwitness.witness import evaluate_witness, factored_identities
+from qwitness.witness import FactoredIdentities, evaluate_witness, factored_identities
 
 
 class TestWitnessPair:
@@ -192,12 +200,46 @@ class TestEvaluateWitness:
         with pytest.raises(ValueError, match="shape"):
             evaluate_witness(planar_settings(3), maximally_mixed(2))
 
+    def test_structured_state_party_count_mismatch(self):
+        with pytest.raises(ValueError, match="qubits"):
+            evaluate_witness(planar_settings(3), NoisyGhz(4))
+
+    def test_relabelled_pattern_takes_the_coefficient_path(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("Kronecker-product path taken")
+
+        monkeypatch.setattr(PartyFactors, "svetlichny_value", refuse)
+        monkeypatch.setattr(FactoredIdentities, "defect_trace", refuse)
+        rng = np.random.default_rng(58)
+        for n in (3, 4, 5):
+            pattern = relabelled_svetlichny(n)
+            assert pattern != svetlichny_pattern(n)
+            table = random_settings(n, rng)
+            assert factored_identities(PartyFactors.from_settings(table), pattern).differences is None
+            blochs = tuple(random_settings(n, rng).parties[p][0] for p in range(n))
+            for state in (NoisyGhz(n, 0.8), ProductState(blochs)):
+                report = evaluate_witness(table, state, pattern)
+                rho = state.matrix()
+                dense_svet = expectation(svetlichny_operator(table, pattern).matrix, rho)
+                assert abs(report.svet_value - dense_svet) < 1e-12
+                assert abs(report.value - expectation(total_witness(table, pattern), rho)) < 1e-12
+
     def test_report_json(self):
         report = evaluate_witness(planar_settings(3), ghz_state(3))
         data = report.to_json_dict()
         assert data["n_parties"] == 3
         assert data["negative"] is True
         assert set(data["identity_residuals"]) == {"element_xi0", "element_xi1", "total"}
+
+
+def relabelled_svetlichny(n):
+    """The Svetlichny pattern with party 0's two settings swapped and its
+    setting-1 outcome flipped.  Party 0 is a fixed party of every element,
+    so the pattern stays CHSH-type, but its signs differ."""
+    shift = n - 1
+    coeffs = svetlichny_pattern(n).coeffs
+    swapped = [coeffs[w ^ (1 << shift)] for w in range(2**n)]
+    return SignPattern(n, tuple(-c if (w >> shift) & 1 else c for w, c in enumerate(swapped)))
 
 
 def pauli_settings(n):

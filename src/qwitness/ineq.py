@@ -146,9 +146,8 @@ class PartyFactors:
         return real_trace(np.dot(coeffs, words))
 
     def svetlichny_value(self, state) -> float:
-        """The Svetlichny sum's value on a state with a trace_product method
-        (qobs.NoisyGhz, qobs.ProductState, DenseState), from one Kronecker
-        product.  The sign (-1)^floor(k/2) is sqrt(2) Re(e^{-i pi/4} i^k),
+        """The Svetlichny sum's value on a structured state (qobs.NoisyGhz,
+        qobs.ProductState), from one Kronecker product.  The sign (-1)^floor(k/2) is sqrt(2) Re(e^{-i pi/4} i^k),
         so the operator is the Hermitian part of (1 - i) (x)_p (F_p0 + i F_p1)
         and its value is Re((1 - i) t) = Re t + Im t for
         t = tr(rho (x)_p (F_p0 + i F_p1))."""
@@ -208,27 +207,6 @@ def state_sum(rho: np.ndarray, tables) -> np.ndarray:
         [axis for p in range(n) for axis in (p, n + p)]
     )
     return correlation_sum(pairs, tables)
-
-
-@dataclass(frozen=True)
-class DenseState:
-    """A density matrix behind the structured states' interface
-    (qobs.NoisyGhz, qobs.ProductState): trace_product is one state_sum with
-    width-1 tables."""
-
-    rho: np.ndarray
-
-    @property
-    def n_parties(self) -> int:
-        return len(self.rho).bit_length() - 1
-
-    def trace_product(self, factors) -> complex:
-        """tr(rho (x)_p X_p) for square factors X_p, party 0 leftmost."""
-        tables = [trace_table(np.asarray(x)[np.newaxis]) for x in factors]
-        return complex(state_sum(self.rho, tables).reshape(()))
-
-    def matrix(self) -> np.ndarray:
-        return self.rho
 
 
 def operator_sum(coeffs, factors) -> np.ndarray:

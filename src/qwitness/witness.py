@@ -33,12 +33,12 @@ State values come from the same factors.  The witness value on rho is
 sqrt(2) Re(e^{-i pi/4} i^k), so the Svetlichny operator is the Hermitian
 part of (1 - i) (x)_p (F_p0 + i F_p1) (the Mermin-Ardehali-Belinskii-Klyshko
 product form) and both traces are traces of Kronecker products.  A state's
-trace_product evaluates tr(rho (x)_p X_p): in O(N) on the structured states
-qobs.NoisyGhz and qobs.ProductState, which are never made dense, and as one
-state_sum on a density matrix (ineq.DenseState).  Any other sign pattern
-takes the coefficient path, one state_sum of state.matrix() against
-per-party factor tables for each trace.  No 2^N x 2^N operator is built
-on either path.  The dense construction these formulas are tested against
+trace_product evaluates tr(rho (x)_p X_p) in O(N) on the structured states
+qobs.NoisyGhz and qobs.ProductState, which are never made dense.  A density
+matrix, and any state under another sign pattern, takes the coefficient
+path: one state_sum of rho against per-party factor tables for each trace,
+whose imaginary part is checked.  No 2^N x 2^N operator is built on either
+path.  The dense construction these formulas are tested against
 (witness_pair, element_witness, total_witness, total_defect) is in dense,
 which no program module imports; svetlichny_operator with qobs.expectation
 checks the values.
@@ -52,7 +52,6 @@ import numpy as np
 
 from .ineq import (
     PSD_TOL,
-    DenseState,
     PartyFactors,
     SignPattern,
     correlation_sum,
@@ -138,7 +137,7 @@ class FactoredIdentities:
 
     def defect_trace(self, state) -> float:
         """tr(rho R) for the Svetlichny pattern, as one trace_product of a
-        state (qobs.NoisyGhz, qobs.ProductState, ineq.DenseState) with R's
+        structured state (qobs.NoisyGhz, qobs.ProductState) with R's
         Kronecker factors."""
         return real_trace(state.trace_product([*self.differences, self.m]))
 
@@ -215,32 +214,33 @@ def evaluate_witness(
 
     ``state`` is a density matrix or a structured state (qobs.NoisyGhz,
     qobs.ProductState).  The witness value is 4(2^(N-1) - <I_svet>) +
-    tr(rho R), with R the factored identity defect.  For the Svetlichny
-    pattern both traces are one trace_product each (PartyFactors.
-    svetlichny_value, FactoredIdentities.defect_trace), so a structured
-    state is never made dense; any other pattern takes the coefficient path
-    (PartyFactors.expectation, FactoredIdentities.defect_expectation) on
-    state.matrix().  No 2^N x 2^N operator is built on either path.  The
+    tr(rho R), with R the factored identity defect.  On a structured state
+    under the Svetlichny pattern both traces are one trace_product each
+    (PartyFactors.svetlichny_value, FactoredIdentities.defect_trace), so the
+    state is never made dense.  A density matrix, or any other pattern,
+    takes the coefficient path (PartyFactors.expectation, FactoredIdentities.
+    defect_expectation) on rho, which rejects a trace with an imaginary
+    part.  No 2^N x 2^N operator is built on either path.  The
     negativity flag fires iff the inequality expectation exceeds the
     classical bound 2^(N-1) by more than NEGATIVITY_MARGIN, equivalently iff
     the witness value drops below -4 * NEGATIVITY_MARGIN.
     """
     n = settings.n_parties
-    if isinstance(state, np.ndarray):
+    dense = isinstance(state, np.ndarray)
+    if dense:
         dim = 2**n
         if state.shape != (dim, dim):
             raise ValueError(f"state has shape {state.shape}, expected {(dim, dim)}")
-        state = DenseState(state)
-    if state.n_parties != n:
+    elif state.n_parties != n:
         raise ValueError(f"state has {state.n_parties} qubits, settings {n} parties")
     factors = PartyFactors.from_settings(settings)
     identities = factored_identities(factors, pattern)
     bound = float(2 ** (n - 1))
-    if identities.differences is not None:
+    if identities.differences is not None and not dense:
         svet_value = factors.svetlichny_value(state)
         defect = identities.defect_trace(state)
     else:
-        rho = state.matrix()
+        rho = state if dense else state.matrix()
         svet_value = factors.expectation(identities.signs.reshape(-1), rho)
         defect = identities.defect_expectation(rho)
     value = 4.0 * (bound - svet_value) + defect

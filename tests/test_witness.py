@@ -204,6 +204,24 @@ class TestEvaluateWitness:
         with pytest.raises(ValueError, match="qubits"):
             evaluate_witness(planar_settings(3), NoisyGhz(4))
 
+    def test_density_matrix_takes_the_coefficient_path(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("Kronecker-product path taken")
+
+        monkeypatch.setattr(PartyFactors, "svetlichny_value", refuse)
+        monkeypatch.setattr(FactoredIdentities, "defect_trace", refuse)
+        report = evaluate_witness(planar_settings(3), ghz_state(3))
+        assert abs(report.svet_value - 4.0 * SQRT2) < 1e-12
+
+    def test_non_hermitian_density_matrix_is_rejected(self):
+        # rho_{07} = rho_{70} = i/2 is symmetric but not Hermitian; its trace
+        # against the Hermitian Svetlichny operator is i Re(I_{07}) with
+        # I_{07} = 2 sqrt(2) at the planar optimum.
+        rho = ghz_state(3)
+        rho[0, 7] = rho[7, 0] = 0.5j
+        with pytest.raises(ValueError, match="imaginary part"):
+            evaluate_witness(planar_settings(3), rho)
+
     def test_relabelled_pattern_takes_the_coefficient_path(self, monkeypatch):
         def refuse(*args):
             raise AssertionError("Kronecker-product path taken")

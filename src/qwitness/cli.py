@@ -281,11 +281,13 @@ def cmd_witness(cfg: dict) -> tuple[dict, int]:
     state, state_desc = _build_state(cfg, n)
     table = _settings_from_cfg(cfg, n)
     optimizer_payload = None
+    if table is not None and cfg.get("optimize"):
+        raise ConfigError("witness takes a settings table or --optimize, not both")
     if table is None:
         if not cfg.get("optimize"):
             raise ConfigError("witness needs a settings table or --optimize")
         kind = "chsh" if n == 2 else "svetlichny"
-        opt = maximize_expectation(n, kind, state.matrix(), _optimizer_cfg(cfg))
+        opt = maximize_expectation(n, kind, state, _optimizer_cfg(cfg))
         table = opt.settings
         optimizer_payload = {
             "best_value": opt.best_value,

@@ -1,16 +1,21 @@
 """Measurement-setting optimization.
 
 Exact see-saw (Werner & Wolf, QIC 1, 2001; Pal & Vertesi, PRA 82, 022116,
-2010).  On a fixed state every objective here is affine in each
-measurement's Bloch vector, so with the other settings held fixed the best
-direction has the closed form n = g/|g|.  A sweep updates every party once.
-Restart points come from a fixed linear congruential generator so identical
-seeds reproduce identical runs on any platform.
+2010) in the two-term form of the Svetlichny operator: the Hermitian part
+of (1 - i) (x)_p G_p, with G_p = z_p.sigma and z_p = n_p0 + i n_p1.  With
+the other settings held fixed, t = tr(rho (x)_p G_p) is linear in one
+party's z_p through a 3-vector environment, so both of its directions have
+a closed form.  A sweep updates every party once.  Restart points come
+from a fixed linear congruential generator so identical seeds reproduce
+identical runs on any platform.
 
 The state-free objective is the largest eigenvalue of the inequality
 operator (its optimal state is the matching eigenvector): each sweep runs
 on the current top eigenvector, which cannot lower the eigenvalue.  A
-state-bound variant maximizes the expectation on a fixed density matrix.
+state-bound variant maximizes the expectation on a fixed state.  Only the
+environments depend on the state: leave-one-out products for the
+structured qobs.NoisyGhz and qobs.ProductState, partial products of the
+eigenvector, and the Pauli correlation tensor of a plain density matrix.
 """
 
 from __future__ import annotations
@@ -23,20 +28,19 @@ import numpy as np
 
 from .ineq import (
     InequalityOperator,
-    correlation_sum,
     operator_sum,
     state_sum,
     svetlichny_operator,
     svetlichny_pattern,
-    trace_table,
 )
 from .opalg import check_eig_parties, hermitian_eigenvalues
 from .qobs import (
     PAULIS,
     BlochVector,
+    NoisyGhz,
+    ProductState,
     SettingsTable,
     expectation,
-    ghz_state,
     pauli_factors,
 )
 
@@ -45,10 +49,14 @@ ORACLE_CHECK_TOL = 1e-9
 
 INEQUALITY_KINDS = ("chsh", "svetlichny")
 
+# _PAULI_ENTRIES[k, 2a + b] = sigma_k[a, b], so sum_ab sigma_k[a, b] C[a, b]
+# is _PAULI_ENTRIES @ C.reshape(4).
+_PAULI_ENTRIES = PAULIS.reshape(3, 4)
+# z = n_0 + i n_1 is _ONE_I @ (n_0, n_1).
+_ONE_I = np.array([1.0, 1.0j])
 # The state_sum table of sigma_x, sigma_y, sigma_z: row 2r + c, column k
-# holds sigma_k[c, r].
-_PAULI_TABLE = trace_table(PAULIS)
-_SETTING_IDENTITY = np.eye(2)
+# holds sigma_k[c, r], the conjugate of sigma_k[r, c].
+_PAULI_TABLE = _PAULI_ENTRIES.T.conj()
 
 
 class Lcg64:
@@ -135,10 +143,6 @@ class OptimizationResult:
         }
 
 
-def _svetlichny_coeffs(n_parties: int) -> np.ndarray:
-    return np.array(svetlichny_pattern(n_parties).coeffs, dtype=np.float64)
-
-
 def _correlation_tensor(rho: np.ndarray) -> np.ndarray:
     """T[k_0, ..., k_{N-1}] = Re tr(rho sigma_k0 x ... x sigma_k{N-1}) for
     k_p in (x, y, z)."""
@@ -146,37 +150,126 @@ def _correlation_tensor(rho: np.ndarray) -> np.ndarray:
     return state_sum(rho, [_PAULI_TABLE] * n).real
 
 
-def _value(coeffs: np.ndarray, bloch: np.ndarray, corr: np.ndarray) -> float:
-    """Expectation sum_w c_w sum_k T_k prod_p B[p, w_p, k_p]."""
-    return float(np.sum(correlation_sum(coeffs, bloch) * corr))
+def _z(bloch: np.ndarray) -> np.ndarray:
+    """z = n_0 + i n_1 from directions of shape (..., 2, 3); z.sigma is the
+    factor G = A_0 + i A_1."""
+    return _ONE_I @ bloch
 
 
-def _update_party(coeffs: np.ndarray, bloch: np.ndarray, corr: np.ndarray, party: int) -> float:
-    """Set both of a party's directions to n = g/|g| in place; returns the
-    value afterwards.
+def _set_party(bloch: np.ndarray, party: int, env: np.ndarray) -> float:
+    """Set both of a party's directions from its environment ``env`` in
+    place; returns the value afterwards.
 
-    The gradient G[s, k] is the kernel with the party's factor set to the
-    identity on its setting bit, contracted with T over the other parties.
-    No setting word uses both of a party's settings, so the value is
-    sum_s G[s] . B[party, s] and both rows update at once.  A zero gradient
-    row (the maximally mixed state) keeps its direction.
+    The Svetlichny operator is the Hermitian part of (1 - i) (x)_q G_q, so
+    its value is Re t + Im t for t = tr(rho (x)_q G_q).  With the other
+    parties fixed, t = z . e is linear in the party's z, where
+    e_k = tr(rho (x)_{q != p} G_q (x) sigma_k at the party).  For
+    w = (1 - i) e the value is n_0 . Re w - n_1 . Im w, so the best
+    directions are Re w/|Re w| and -Im w/|Im w|, and the value is the sum of
+    the two norms.  A zero row (the maximally mixed state) keeps its
+    direction.  The 3-vectors are handled as Python floats: numpy's call
+    overhead would cost more than the arithmetic.
     """
-    factors = list(bloch)
-    factors[party] = _SETTING_IDENTITY
-    others = [q for q in range(len(bloch)) if q != party]
-    grad = np.tensordot(correlation_sum(coeffs, factors), corr, axes=(others, others))
-    norms = np.linalg.norm(grad, axis=1)
-    moved = norms > 0.0
-    bloch[party, moved] = grad[moved] / norms[moved, None]
-    return float(np.sum(norms))
+    w = [(1.0 - 1.0j) * e for e in env.tolist()]
+    value = 0.0
+    for setting, grad in enumerate(([x.real for x in w], [-x.imag for x in w])):
+        norm = math.hypot(*grad)
+        if norm > 0.0:
+            bloch[party, setting] = [g / norm for g in grad]
+        value += norm
+    return value
 
 
-def _sweep(coeffs: np.ndarray, bloch: np.ndarray, corr: np.ndarray) -> tuple[float, np.ndarray]:
-    """One see-saw sweep over the parties on a copy; (value, new settings)."""
+def _sweep(environments, bloch: np.ndarray) -> tuple[float, np.ndarray]:
+    """One see-saw sweep over the parties on a copy; (value, new settings).
+    ``environments(bloch)`` yields party p's environment once parties
+    0..p-1 have moved."""
     bloch = bloch.copy()
-    for party in range(len(bloch)):
-        value = _update_party(coeffs, bloch, corr, party)
+    for party, env in enumerate(environments(bloch)):
+        value = _set_party(bloch, party, env)
     return value, bloch
+
+
+def _structured_environments(state: NoisyGhz | ProductState):
+    """Environments on a structured state, from leave-one-out products.
+
+    Against traceless factors x_q.sigma the state's trace is
+    scale * sum_d prod_q (local_q @ x_q)[d].  GHZ: tr(GHZ (x)_q X_q) is
+    1/2 sum_ab prod_q X_q[a, b], and local_q @ z_q is G_q's four entries;
+    the maximally mixed part of a noisy GHZ state adds nothing, because
+    G_q is traceless.  Product state: tr(rho_q x.sigma) = m_q . x for the
+    party's Bloch vector m_q.
+
+    Party p's environment is c @ local_p for c = scale * prod_{q != p}
+    local_q @ z_q: suffix products over the parties not yet moved times a
+    running product over those that have, so a sweep costs O(N).
+    """
+    if isinstance(state, NoisyGhz):
+        scale = state.visibility / 2.0
+        local = np.broadcast_to(_PAULI_ENTRIES.T, (state.n_parties, 4, 3))
+    else:
+        scale, local = 1.0, np.array([[v.as_list()] for v in state.blochs])
+
+    def environments(bloch):
+        s = np.einsum("qdk,qk->qd", local, _z(bloch))
+        # after[p] = prod_{q > p} s_q.
+        after = np.ones_like(s)
+        after[:-1] = np.cumprod(s[:0:-1], axis=0)[::-1]
+        before = np.full(s.shape[1], scale, dtype=np.complex128)
+        for p in range(len(s)):
+            if p:
+                before = before * (local[p - 1] @ _z(bloch[p - 1]))
+            yield (before * after[p]) @ local[p]
+
+    return environments
+
+
+def _tensor_environments(corr: np.ndarray):
+    """Environments from a density matrix's correlation tensor T: party p's
+    is T contracted with z_q for every q != p.  The moved parties are
+    contracted into ``left`` once each, so a sweep costs O(3^N)."""
+
+    def environments(bloch):
+        left = corr
+        for p in range(corr.ndim):
+            if p:
+                left = np.tensordot(_z(bloch[p - 1]), left, axes=(0, 0))
+            env = left
+            for q in range(corr.ndim - 1, p, -1):
+                env = env @ _z(bloch[q])
+            yield env
+
+    return environments
+
+
+def _split(psi: np.ndarray, party: int) -> np.ndarray:
+    """A 2^N vector as (parties before, party, parties after)."""
+    return psi.reshape(2**party, 2, -1)
+
+
+def _vector_environments(psi: np.ndarray):
+    """Environments on the pure state psi, e_k = <L| sigma_k |R> at party p,
+    with L = (x)_{q<p} G_q^dagger psi over the moved parties and
+    R = (x)_{q>p} G_q psi over the rest.  The R of every party come from one
+    backward pass and L takes one factor per party, so a sweep costs
+    O(N 2^N), with no density matrix and no 3^N tensor."""
+    n = psi.size.bit_length() - 1
+
+    def environments(bloch):
+        factors = pauli_factors(_z(bloch))
+        right = [psi] * n
+        for p in range(n - 1, 0, -1):
+            right[p - 1] = (factors[p] @ _split(right[p], p)).reshape(-1)
+        left = psi
+        for p in range(n):
+            if p:
+                moved = pauli_factors(_z(bloch[p - 1])).conj().T
+                left = (moved @ _split(left, p - 1)).reshape(-1)
+            # C[a, b] = sum over the other parties of conj(L[.., a, ..]) R[.., b, ..].
+            c = np.einsum("iaj,ibj->ab", _split(left, p).conj(), _split(right[p], p))
+            yield _PAULI_ENTRIES @ c.reshape(4)
+
+    return environments
 
 
 def _see_saw(value: float, bloch: np.ndarray, step, max_sweeps: int):
@@ -196,11 +289,20 @@ def _see_saw(value: float, bloch: np.ndarray, step, max_sweeps: int):
     return value, bloch, max_sweeps, False, history
 
 
-def _expectation_see_saw(start: np.ndarray, corr: np.ndarray, max_sweeps: int):
-    """See-saw on the Svetlichny expectation for correlation tensor ``corr``."""
-    coeffs = _svetlichny_coeffs(len(start))
+def _svetlichny_value(environments, bloch: np.ndarray) -> float:
+    """Re t + Im t, with t = z_0 . e_0 from party 0's environment."""
+    t = _z(bloch[0]) @ next(environments(bloch))
+    return float(t.real + t.imag)
+
+
+def _expectation_see_saw(start: np.ndarray, environments, max_sweeps: int):
+    """See-saw on the Svetlichny expectation of a fixed state, given by its
+    ``environments``."""
     return _see_saw(
-        _value(coeffs, start, corr), start, lambda b: _sweep(coeffs, b, corr), max_sweeps
+        _svetlichny_value(environments, start),
+        start,
+        lambda b: _sweep(environments, b),
+        max_sweeps,
     )
 
 
@@ -213,12 +315,12 @@ def _violation_see_saw(start: np.ndarray, max_sweeps: int):
     """See-saw on the largest eigenvalue.  Each sweep runs on the current top
     eigenvector psi, so lambda_max(S') >= <psi|S'|psi> >= <psi|S|psi> =
     lambda_max(S)."""
-    coeffs = _svetlichny_coeffs(len(start))
+    coeffs = np.array(svetlichny_pattern(len(start)).coeffs, dtype=np.float64)
     value, psi = _top_eigenpair(coeffs, start)
 
     def step(bloch):
         nonlocal psi
-        _, new = _sweep(coeffs, bloch, _correlation_tensor(np.outer(psi, psi.conj())))
+        _, new = _sweep(_vector_environments(psi), bloch)
         # A rejected sweep ends the run, so psi may always move to the new
         # settings' eigenvector.
         new_value, psi = _top_eigenpair(coeffs, new)
@@ -275,19 +377,33 @@ def maximize_violation(
 
 
 def maximize_expectation(
-    n_parties: int, kind: str, rho: np.ndarray, cfg: OptimizationConfig | None = None
+    n_parties: int,
+    kind: str,
+    rho: np.ndarray | NoisyGhz | ProductState,
+    cfg: OptimizationConfig | None = None,
 ) -> OptimizationResult:
-    """Settings maximizing the inequality expectation on a fixed state."""
+    """Settings maximizing the inequality expectation on a fixed state: a
+    density matrix, or a qobs.NoisyGhz or qobs.ProductState, whose see-saw
+    needs no 2^N array."""
     cfg = cfg or OptimizationConfig()
     _validate_kind(n_parties, kind)
-    dim = 2**n_parties
-    if rho.shape != (dim, dim):
-        raise ValueError(f"state has shape {rho.shape}, expected {(dim, dim)}")
-    corr = _correlation_tensor(rho)
+    structured = isinstance(rho, (NoisyGhz, ProductState))
+    if structured:
+        if rho.n_parties != n_parties:
+            raise ValueError(f"state has {rho.n_parties} qubits, expected {n_parties}")
+        environments = _structured_environments(rho)
+    else:
+        dim = 2**n_parties
+        if rho.shape != (dim, dim):
+            raise ValueError(f"state has shape {rho.shape}, expected {(dim, dim)}")
+        environments = _tensor_environments(_correlation_tensor(rho))
     value, settings, sweeps, converged, history = _run_restarts(
-        n_parties, lambda start, max_sweeps: _expectation_see_saw(start, corr, max_sweeps), cfg
+        n_parties,
+        lambda start, max_sweeps: _expectation_see_saw(start, environments, max_sweeps),
+        cfg,
     )
-    check = expectation(svetlichny_operator(settings).matrix, rho)
+    dense = rho.matrix() if structured else rho
+    check = expectation(svetlichny_operator(settings).matrix, dense)
     if abs(check - value) > ORACLE_CHECK_TOL:  # pragma: no cover - internal consistency
         raise RuntimeError(f"optimizer value {value} disagrees with oracle {check}")
     return OptimizationResult(value, settings, sweeps, converged, history)
@@ -313,5 +429,5 @@ def violation_threshold(
     check_eig_parties(n_parties)
     cfg = cfg or OptimizationConfig()
     bound = 2.0 ** (n_parties - 1)
-    best = maximize_expectation(n_parties, "svetlichny", ghz_state(n_parties), cfg).best_value
+    best = maximize_expectation(n_parties, "svetlichny", NoisyGhz(n_parties), cfg).best_value
     return 1.0 if best <= bound else bound / best

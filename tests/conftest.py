@@ -1,6 +1,6 @@
 """Shared test helpers: analytic optimal settings, random settings tables
 from numpy's Generator, random unitaries, random compatible 4-cycles, and
-small brute-force and kernel oracles."""
+small brute-force, kernel and see-saw oracles."""
 
 from __future__ import annotations
 
@@ -15,8 +15,14 @@ from qwitness.classical import (
     HybridStrategy,
     evaluate_strategy,
 )
-from qwitness.ineq import cycle_from_settings
-from qwitness.qobs import BlochVector, Grouping, SettingsTable
+from qwitness.ineq import (
+    correlation_sum,
+    cycle_from_settings,
+    state_sum,
+    svetlichny_pattern,
+    trace_table,
+)
+from qwitness.qobs import PAULIS, BlochVector, Grouping, SettingsTable
 
 SQRT2 = math.sqrt(2.0)
 
@@ -85,6 +91,32 @@ def correlation_sum_tensordot(coeffs, factors) -> np.ndarray:
     for factor in factors:
         out = np.tensordot(out, factor, axes=(0, 0))
     return out
+
+
+def pauli_correlation_tensor(rho: np.ndarray) -> np.ndarray:
+    """T[k_0, ..., k_{N-1}] = Re tr(rho sigma_k0 x ... x sigma_k{N-1})."""
+    n = rho.shape[0].bit_length() - 1
+    return state_sum(rho, [trace_table(PAULIS)] * n).real
+
+
+def correlation_update_party(bloch: np.ndarray, corr: np.ndarray, party: int) -> np.ndarray:
+    """The coefficient-sum party update, the oracle for the see-saw's: set
+    both of a party's directions to g/|g| in place and return the two row
+    norms |g|, whose sum is the value afterwards.
+
+    The gradient G[s, k] is the kernel with the party's factor set to the
+    identity on its setting bit, contracted with T over the other parties.
+    A zero gradient row keeps its direction.
+    """
+    coeffs = np.array(svetlichny_pattern(len(bloch)).coeffs, dtype=np.float64)
+    factors = list(bloch)
+    factors[party] = np.eye(2)
+    others = [q for q in range(len(bloch)) if q != party]
+    grad = np.tensordot(correlation_sum(coeffs, factors), corr, axes=(others, others))
+    norms = np.linalg.norm(grad, axis=1)
+    moved = norms > 0.0
+    bloch[party, moved] = grad[moved] / norms[moved, None]
+    return norms
 
 
 def kron_loops(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -210,6 +210,26 @@ class TestWitness:
         assert code == 3
         assert "--optimize" in err
 
+    @pytest.mark.parametrize(
+        "payload, flags",
+        [
+            ({"settings": None}, ["--optimize"]),
+            ({"settings": None, "optimize": True}, []),
+        ],
+        ids=["flag", "config"],
+    )
+    def test_settings_and_optimize_together_rejected(self, capsys, tmp_path, payload, flags):
+        payload = dict(payload, settings=planar_settings(3).to_json_dict())
+        cfg = write_config(tmp_path, payload)
+        code, report, err = run_cli(
+            capsys, ["witness", "--n", "3", "--state", "ghz", "--config", cfg] + flags
+        )
+        assert code == 3
+        assert report is None
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("qwitness: invalid config:")
+        assert "settings table" in lines[0] and "--optimize" in lines[0]
+
     def test_unknown_state_tag(self, capsys):
         code, _, err = run_cli(capsys, ["witness", "--n", "3", "--state", "werner"])
         assert code == 3
@@ -659,7 +679,8 @@ class TestFactoredPath:
             )
             assert code == 0
             assert report["results"]["state"] == state
-        # The optimizer needs the dense state, so there the patch bites.
+        # The optimizer's see-saw needs no dense state, but its oracle check
+        # at N <= 8 does, so there the patch bites.
         with pytest.raises(AssertionError, match="dense state built"):
             cli.main(["witness", "--n", "3", "--state", "ghz", "--optimize"])
 

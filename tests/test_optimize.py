@@ -5,19 +5,22 @@ import pytest
 
 from conftest import SQRT2, planar_settings
 
+from qwitness import optimize
 from qwitness.ineq import chsh_operator, chsh_optimal_settings, svetlichny_operator
 from qwitness.optimize import (
     Lcg64,
     OptimizationConfig,
     _correlation_tensor,
     _expectation_see_saw,
+    _structured_environments,
+    _tensor_environments,
     _violation_see_saw,
     max_eigenvalue,
     maximize_expectation,
     maximize_violation,
     violation_threshold,
 )
-from qwitness.qobs import BlochVector, SettingsTable, ghz_state
+from qwitness.qobs import BlochVector, NoisyGhz, ProductState, SettingsTable, ghz_state
 
 SMALL = OptimizationConfig(restarts=3, seed=71)
 
@@ -152,16 +155,67 @@ class TestMaximizeExpectation:
         assert abs(res.best_value - 4.0 * SQRT2) < 1e-6
 
     def test_planar_settings_are_already_optimal(self):
-        rho = ghz_state(3)
         cfg = OptimizationConfig(restarts=1, seed=74)
-        value, _, _, _, _ = _expectation_see_saw(
-            planar_settings(3).bloch, _correlation_tensor(rho), cfg.max_iters
-        )
-        assert abs(value - 4.0 * SQRT2) < 1e-9
+        for environments in (
+            _tensor_environments(_correlation_tensor(ghz_state(3))),
+            _structured_environments(NoisyGhz(3)),
+        ):
+            value, _, _, _, _ = _expectation_see_saw(
+                planar_settings(3).bloch, environments, cfg.max_iters
+            )
+            assert abs(value - 4.0 * SQRT2) < 1e-9
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="shape"):
             maximize_expectation(3, "svetlichny", ghz_state(2), SMALL)
+        with pytest.raises(ValueError, match="qubits"):
+            maximize_expectation(3, "svetlichny", NoisyGhz(2), SMALL)
+
+    @pytest.mark.parametrize("v", [1.0, 0.9, 0.0])
+    def test_structured_state_equals_its_density_matrix(self, v):
+        # The same restarts on the same state in two forms reach the same
+        # optimum value.
+        cfg = OptimizationConfig(restarts=2, seed=76)
+        state = NoisyGhz(3, v)
+        structured = maximize_expectation(3, "svetlichny", state, cfg)
+        dense = maximize_expectation(3, "svetlichny", state.matrix(), cfg)
+        assert abs(structured.best_value - dense.best_value) < 1e-9
+        assert abs(structured.best_value - v * 4.0 * SQRT2) < 1e-6
+
+
+class TestNoCorrelationTensor:
+    """Only a plain density matrix needs the Pauli correlation tensor; the
+    eigenvector and structured-state see-saws never build it."""
+
+    @pytest.fixture(params=["state_sum", "_correlation_tensor"])
+    def refuse_tensor(self, request, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("correlation tensor built")
+
+        monkeypatch.setattr(optimize, request.param, refuse)
+
+    def test_violation(self, refuse_tensor):
+        assert abs(maximize_violation(3, "svetlichny", SMALL).best_value - 4.0 * SQRT2) < 1e-6
+
+    @pytest.mark.parametrize(
+        "state",
+        [
+            NoisyGhz(3),
+            NoisyGhz(3, 0.9),
+            NoisyGhz(3, 0.0),
+            ProductState((BlochVector(0.0, 0.0, 1.0), BlochVector(1.0, 0.0, 0.0)) * 2),
+        ],
+        ids=["ghz", "noisy", "mixed", "product"],
+    )
+    def test_structured_expectation(self, refuse_tensor, state):
+        maximize_expectation(state.n_parties, "svetlichny", state, SMALL)
+
+    def test_threshold(self, refuse_tensor):
+        assert abs(violation_threshold(3, SMALL) - 1.0 / SQRT2) < 1e-4
+
+    def test_density_matrix_reaches_it(self, refuse_tensor):
+        with pytest.raises(AssertionError, match="correlation tensor built"):
+            maximize_expectation(3, "svetlichny", ghz_state(3), SMALL)
 
 
 class TestViolationThreshold:

@@ -23,7 +23,13 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from conftest import correlation_sum_tensordot, first_max_hybrid, first_max_lhv
+from conftest import (
+    correlation_sum_tensordot,
+    correlation_update_party,
+    first_max_hybrid,
+    first_max_lhv,
+    pauli_correlation_tensor,
+)
 from qwitness import cli
 from qwitness.classical import (
     DeterministicStrategy,
@@ -55,9 +61,13 @@ from qwitness.ineq import (
 from qwitness.opalg import anticommutator, frob_distance, hermitian_eigenvalues, is_psd
 from qwitness.optimize import (
     _correlation_tensor,
-    _svetlichny_coeffs,
-    _update_party,
-    _value,
+    _set_party,
+    _structured_environments,
+    _svetlichny_value,
+    _sweep,
+    _tensor_environments,
+    _top_eigenpair,
+    _vector_environments,
 )
 from qwitness.qobs import (
     PAULI_X,
@@ -219,20 +229,44 @@ def density_matrices(n):
     return st.integers(0, 2**32 - 1).map(build)
 
 
+def environments_of(state):
+    """The see-saw's environments for a structured state or a density matrix."""
+    if isinstance(state, np.ndarray):
+        return _tensor_environments(_correlation_tensor(state))
+    return _structured_environments(state)
+
+
+def top_eigenvector(table):
+    coeffs = np.array(svetlichny_pattern(table.n_parties).coeffs, dtype=np.float64)
+    return _top_eigenpair(coeffs, table.bloch)[1]
+
+
+def see_saw_states(data, n):
+    """(environments, dense matrix) for GHZ, noisy GHZ, mixed, a random
+    product state, a random density matrix and the top eigenvector of the
+    Svetlichny operator at random settings."""
+    states = [
+        NoisyGhz(n),
+        NoisyGhz(n, data.draw(st.floats(0.0, 1.0))),
+        NoisyGhz(n, 0.0),
+        ProductState(tuple(data.draw(st.lists(unit_vectors, min_size=n, max_size=n)))),
+        data.draw(density_matrices(n)),
+    ]
+    out = [(environments_of(s), s if isinstance(s, np.ndarray) else s.matrix()) for s in states]
+    psi = top_eigenvector(data.draw(settings_tables(n)))
+    out.append((_vector_environments(psi), np.outer(psi, psi.conj())))
+    return out
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 @bounded(6)
 @given(data=st.data())
 def test_correlation_tensor_value_equals_dense_expectation(n, data):
+    # Every environment path's value Re t + Im t against the dense operator.
     table = data.draw(settings_tables(n))
-    states = (
-        ghz_state(n),
-        noisy_mixture(ghz_state(n), data.draw(st.floats(0.0, 1.0))),
-        product_state(data.draw(st.lists(unit_vectors, min_size=n, max_size=n))),
-        data.draw(density_matrices(n)),
-    )
     operator = svetlichny_operator(table).matrix
-    for rho in states:
-        value = _value(_svetlichny_coeffs(n), table.bloch, _correlation_tensor(rho))
+    for environments, rho in see_saw_states(data, n):
+        value = _svetlichny_value(environments, table.bloch)
         assert abs(value - expectation(operator, rho)) <= OPERATOR_TOL
 
 
@@ -241,31 +275,59 @@ def test_correlation_tensor_value_equals_dense_expectation(n, data):
 @given(data=st.data())
 def test_party_update_picks_the_best_direction(n, data):
     bloch = data.draw(settings_tables(n)).bloch.copy()
-    corr = _correlation_tensor(data.draw(density_matrices(n)))
+    environments = environments_of(data.draw(density_matrices(n)))
     party = data.draw(st.integers(0, n - 1))
     rivals = data.draw(st.lists(st.tuples(st.integers(0, 1), unit_vectors), min_size=1, max_size=4))
-    coeffs = _svetlichny_coeffs(n)
-    before = _value(coeffs, bloch, corr)
-    after = _update_party(coeffs, bloch, corr, party)
+    before = _svetlichny_value(environments, bloch)
+    # The generator yields party p's environment before any party moves.
+    env = next(itertools.islice(environments(bloch), party, None))
+    after = _set_party(bloch, party, env)
     assert after >= before - OPERATOR_TOL
-    assert abs(after - _value(coeffs, bloch, corr)) <= OPERATOR_TOL
+    assert abs(after - _svetlichny_value(environments, bloch)) <= OPERATOR_TOL
     for setting, rival in rivals:
         trial = bloch.copy()
         trial[party, setting] = rival.as_list()
-        assert _value(coeffs, trial, corr) <= after + OPERATOR_TOL
+        assert _svetlichny_value(environments, trial) <= after + OPERATOR_TOL
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 @bounded(6)
 @given(data=st.data())
 def test_noisy_ghz_value_scales_with_visibility(n, data):
-    # The fact behind violation_threshold's closed form.
+    # The fact behind violation_threshold's closed form, on the structured
+    # state and on its density matrix.
     bloch = data.draw(settings_tables(n)).bloch
     v = data.draw(st.floats(0.0, 1.0))
-    coeffs = _svetlichny_coeffs(n)
-    ghz = _value(coeffs, bloch, _correlation_tensor(ghz_state(n)))
-    noisy = _value(coeffs, bloch, _correlation_tensor(noisy_mixture(ghz_state(n), v)))
-    assert abs(noisy - v * ghz) <= OPERATOR_TOL
+    ghz = _svetlichny_value(environments_of(NoisyGhz(n)), bloch)
+    for noisy_state in (NoisyGhz(n, v), noisy_mixture(ghz_state(n), v)):
+        noisy = _svetlichny_value(environments_of(noisy_state), bloch)
+        assert abs(noisy - v * ghz) <= OPERATOR_TOL
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+@bounded(6)
+@given(data=st.data())
+def test_sweep_equals_correlation_tensor_sweep(n, data):
+    # One sweep from the same start, each party's update checked against
+    # the coefficient-sum update on the Pauli correlation tensor at the
+    # same settings.  A gradient row that is zero in exact arithmetic (a
+    # product state's last party, or a symmetric start) takes its direction
+    # from rounding on either side, and later parties follow that choice;
+    # so the oracle runs in lockstep on the swept settings, and directions
+    # are compared weighted by the oracle's gradient norm, which compares
+    # the gradients themselves.
+    start = data.draw(settings_tables(n)).bloch
+    for environments, rho in see_saw_states(data, n):
+        corr = pauli_correlation_tensor(rho)
+        bloch = start.copy()
+        for party, env in enumerate(environments(bloch)):
+            oracle = bloch.copy()
+            norms = correlation_update_party(oracle, corr, party)
+            value = _set_party(bloch, party, env)
+            assert abs(value - np.sum(norms)) <= OPERATOR_TOL
+            assert np.max(norms[:, None] * np.abs(bloch[party] - oracle[party])) <= OPERATOR_TOL
+        swept_value, swept = _sweep(environments, start)
+        assert swept_value == value and np.array_equal(swept, bloch)
 
 
 def dense_xy(e):

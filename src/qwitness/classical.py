@@ -131,7 +131,7 @@ def check_lhv_parties(n_parties: int) -> None:
     if n_parties > LHV_MAX_PARTIES:
         raise CapExceededError(
             f"local enumeration is capped at N = {LHV_MAX_PARTIES} "
-            f"(4^N strategies); group parties and use hybrid_bound, or sample"
+            f"(4^N strategies); hybrid_bound is capped at N = {HYBRID_MAX_PARTIES}"
         )
 
 

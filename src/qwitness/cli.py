@@ -18,6 +18,7 @@ import hashlib
 import json
 import sys
 import time
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -183,9 +184,6 @@ def _build_state(cfg: dict, n_parties: int) -> tuple[NoisyGhz | ProductState, st
 def cmd_verify(cfg: dict) -> tuple[dict, int]:
     """Run all operator-identity checks applicable to the party count."""
     n = cfg["n_parties"]
-    if n < 2:
-        raise ConfigError("verification needs at least two parties")
-    check_eig_parties(n)
     given = _settings_from_cfg(cfg, n)
     if given is not None:
         trials, tables = 1, [given]
@@ -239,15 +237,7 @@ def cmd_verify(cfg: dict) -> tuple[dict, int]:
 def cmd_bounds(cfg: dict) -> tuple[dict, int]:
     """Classical, hybrid, and 4-cycle bounds by exhaustive enumeration."""
     n = cfg["n_parties"]
-    if n < 2:
-        raise ConfigError("bounds need at least two parties")
     results: dict = {"n_parties": n}
-    try:
-        # Checked before the 2^N-coefficient pattern is built.
-        check_lhv_parties(n)
-    except CapExceededError as exc:
-        results["error"] = str(exc)
-        return results, EXIT_CAP_EXCEEDED
     pattern = svetlichny_pattern(n)
     results["lhv"] = lhv_bound(pattern).to_json_dict()
     if n <= 4:
@@ -275,9 +265,6 @@ def cmd_optimize(cfg: dict) -> tuple[dict, int]:
 def cmd_witness(cfg: dict) -> tuple[dict, int]:
     """Evaluate the total witness on a state; negativity is a result, not an error."""
     n = cfg["n_parties"]
-    if n < 2:
-        raise ConfigError("witness evaluation needs at least two parties")
-    check_eig_parties(n)
     state, state_desc = _build_state(cfg, n)
     table = _settings_from_cfg(cfg, n)
     optimizer_payload = None
@@ -367,75 +354,80 @@ def cmd_contextuality(cfg: dict) -> tuple[dict, int]:
     return results, EXIT_OK if passed else EXIT_CHECK_FAILED
 
 
-_HANDLERS = {
-    "verify": cmd_verify,
-    "bounds": cmd_bounds,
-    "optimize": cmd_optimize,
-    "witness": cmd_witness,
-    "contextuality": cmd_contextuality,
+class _Command(NamedTuple):
+    """A subcommand: its handler, whose docstring is its help; the flags it reads; and
+    the party-count cap _merge_config applies with the N >= 2 floor (None: no N read)."""
+
+    run: Callable[[dict], tuple[dict, int]]
+    flags: str
+    check_parties: Callable[[int], None] | None
+
+
+_COMMANDS = {
+    "verify": _Command(cmd_verify, "config n random seed corrupt-sign out", check_eig_parties),
+    "bounds": _Command(cmd_bounds, "config n out", check_lhv_parties),
+    "optimize": _Command(cmd_optimize, "config n seed out", check_eig_parties),
+    "witness": _Command(cmd_witness, "config n state optimize seed out", check_eig_parties),
+    "contextuality": _Command(cmd_contextuality, "config state out", None),
 }
+
+# Each flag's argparse keywords.  Its dest is the config key it overrides,
+# except --config, which names the file.
+_FLAGS = {
+    "config": dict(metavar="PATH", help="JSON config file; flags override its fields"),
+    "n": dict(dest="n_parties", type=int, metavar="N", help="number of parties"),
+    "state": dict(help="state tag: ghz | mixed | product | noisy-ghz:V"),
+    "optimize": dict(action="store_true", help="optimize settings first"),
+    "random": dict(
+        dest="random_trials", type=int, metavar="K", help="number of random settings draws"
+    ),
+    "seed": dict(type=int, help="seed for all pseudo-random draws"),
+    "corrupt-sign": dict(
+        type=int, metavar="W", help="fault-injection hook: flip the sign coefficient at word W"
+    ),
+    "out": dict(dest="output_path", metavar="PATH", help="also write the report to this path"),
+}
+
+
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise ConfigError, so they exit 3 through main like any
+    other invalid input; --help still exits 0."""
+
+    def error(self, message):
+        raise ConfigError(message)
 
 
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
-    """The argparse tree, built once: parsing never mutates it."""
-    parser = argparse.ArgumentParser(
+    """The argparse tree, built once: parsing never mutates it.  A flag not
+    given leaves no attribute, so the namespace holds only overrides."""
+    parser = _Parser(
         prog="qwitness",
         description="Quantumness-witness toolkit: operator identities, classical "
         "bounds, setting optimization, and witness evaluation.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("verify", "check the witness operator identities"),
-        ("bounds", "classical / hybrid / noncontextual bounds by enumeration"),
-        ("optimize", "maximize inequality violation over settings"),
-        ("witness", "evaluate the total witness on a state"),
-        ("contextuality", "check the 4-cycle noncontextuality construction"),
-    ):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--config", help="JSON config file; flags override its fields")
-        p.add_argument("--n", type=int, help="number of parties")
-        p.add_argument("--state", help="state tag: ghz | mixed | product | noisy-ghz:V")
-        p.add_argument("--optimize", action="store_true", help="optimize settings first")
-        p.add_argument("--random", type=int, metavar="K", help="number of random settings draws")
-        p.add_argument("--seed", type=int, help="seed for all pseudo-random draws")
-        p.add_argument("--out", help="also write the report to this path")
-        if name == "verify":
-            p.add_argument(
-                "--corrupt-sign",
-                type=int,
-                metavar="W",
-                help="fault-injection hook: flip the sign coefficient at word W",
-            )
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.run.__doc__, argument_default=argparse.SUPPRESS)
+        for flag in command.flags.split():
+            p.add_argument("--" + flag, **_FLAGS[flag])
     return parser
 
 
 def _merge_config(args: argparse.Namespace) -> dict:
+    flags = vars(args)
     cfg: dict = {}
-    if args.config:
+    path = flags.pop("config", None)
+    if path:
         try:
-            with open(args.config, encoding="utf-8") as fh:
+            with open(path, encoding="utf-8") as fh:
                 file_cfg = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config file: {exc}")
         if not isinstance(file_cfg, dict):
             raise ConfigError("config file must hold a JSON object")
         cfg.update(file_cfg)
-    if args.n is not None:
-        cfg["n_parties"] = args.n
-    if args.state is not None:
-        cfg["state"] = args.state
-    if args.seed is not None:
-        cfg["seed"] = args.seed
-    if args.random is not None:
-        cfg["random_trials"] = args.random
-    if args.optimize:
-        cfg["optimize"] = True
-    if args.out is not None:
-        cfg["output_path"] = args.out
-    if getattr(args, "corrupt_sign", None) is not None:
-        cfg["corrupt_sign"] = args.corrupt_sign
-    cfg["command"] = args.command
+    cfg.update(flags)
     cfg.setdefault("n_parties", 3)
     cfg.setdefault("seed", 1)
     for key in ("n_parties", "seed", "random_trials", "corrupt_sign"):
@@ -444,15 +436,19 @@ def _merge_config(args: argparse.Namespace) -> dict:
             raise ConfigError(f"{key} must be an integer, got {cfg[key]!r}")
     if cfg.get("random_trials", 1) < 1:
         raise ConfigError(f"random_trials must be at least 1, got {cfg['random_trials']}")
+    check_parties = _COMMANDS[cfg["command"]].check_parties
+    if check_parties is not None:
+        if cfg["n_parties"] < 2:
+            raise ConfigError(f"{cfg['command']} needs at least two parties")
+        check_parties(cfg["n_parties"])
     return cfg
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
     started = time.perf_counter()
     try:
-        cfg = _merge_config(args)
-        results, code = _HANDLERS[args.command](cfg)
+        cfg = _merge_config(_parser().parse_args(argv))
+        results, code = _COMMANDS[cfg["command"]].run(cfg)
     except ConfigError as exc:
         print(f"qwitness: invalid config: {exc}", file=sys.stderr)
         return EXIT_INVALID_CONFIG
@@ -468,7 +464,7 @@ def main(argv=None) -> int:
         return EXIT_INVALID_CONFIG
 
     report = {
-        "command": args.command,
+        "command": cfg["command"],
         "inputs_digest": _inputs_digest(cfg),
         "results": results,
         "artifact_version": __version__,

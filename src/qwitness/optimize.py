@@ -330,14 +330,15 @@ def _violation_see_saw(start: np.ndarray, max_sweeps: int):
 
 
 def _run_restarts(n_parties: int, ascend, cfg: OptimizationConfig):
-    """Independent restarts; best selected by (value, restart index).  Each
-    start is drawn just before its ascent, which never touches the
+    """Independent restarts; a later restart replaces the best only if it
+    gains more than SWEEP_IMPROVEMENT_TOL, so near-ties keep the earliest.
+    Each start is drawn just before its ascent, which never touches the
     generator, so the draws follow the same stream as drawing all first."""
     rng = Lcg64(cfg.seed)
     best = None
     for _ in range(cfg.restarts):
         result = ascend(rng.bloch(n_parties), cfg.max_iters)
-        if best is None or result[0] > best[0]:
+        if best is None or result[0] > best[0] + SWEEP_IMPROVEMENT_TOL:
             best = result
     value, bloch, sweeps, converged, history = best
     return value, SettingsTable.from_bloch(bloch), sweeps, converged, tuple(history)

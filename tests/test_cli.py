@@ -1,3 +1,4 @@
+import argparse
 import gc
 import json
 import time
@@ -129,17 +130,20 @@ class TestBounds:
         assert "skipped" in results["hybrid_notice"]
 
     def test_cap_exceeded(self, capsys):
-        code, report, _ = run_cli(capsys, ["bounds", "--n", "9"])
+        code, report, err = run_cli(capsys, ["bounds", "--n", "9"])
         assert code == 4
-        assert "error" in report["results"]
+        assert report is None
+        assert err.count("\n") == 1
+        assert "capped at N = 8" in err and "hybrid_bound is capped at N = 5" in err
 
     @pytest.mark.parametrize("n", [23, 30, 1000000])
     def test_cap_checked_before_the_pattern_is_built(self, capsys, n):
         started = time.perf_counter()
-        code, report, _ = run_cli(capsys, ["bounds", "--n", str(n)])
+        code, report, err = run_cli(capsys, ["bounds", "--n", str(n)])
         assert time.perf_counter() - started < 1.0
         assert code == 4
-        assert "capped at N = 8" in report["results"]["error"]
+        assert report is None
+        assert err.count("\n") == 1 and "capped at N = 8" in err
 
 
 class TestOptimize:
@@ -614,12 +618,94 @@ class TestParserReuse:
     def test_repeated_calls_print_identical_reports(self, capsys):
         assert cli._parser() is cli._parser()
         first = [self.stdout_without_timing(capsys, argv) for argv in self.ARGVS]
-        with pytest.raises(SystemExit):
-            cli.main(["verify", "--no-such-flag"])
+        assert cli.main(["verify", "--no-such-flag"]) == 3
         capsys.readouterr()
         second = [self.stdout_without_timing(capsys, argv) for argv in self.ARGVS]
         assert all(first)
         assert first == second
+
+
+class TestCommandTable:
+    """Each subcommand takes only the flags it reads, and the party count is
+    checked once, before the command runs."""
+
+    FLAGS = {
+        "verify": {"--config", "--n", "--random", "--seed", "--corrupt-sign", "--out"},
+        "bounds": {"--config", "--n", "--out"},
+        "optimize": {"--config", "--n", "--seed", "--out"},
+        "witness": {"--config", "--n", "--state", "--optimize", "--seed", "--out"},
+        "contextuality": {"--config", "--state", "--out"},
+    }
+
+    @staticmethod
+    def exits_with_one_line(capsys, argv, code, text):
+        found, report, err = run_cli(capsys, argv)
+        assert found == code
+        assert report is None
+        assert err.count("\n") == 1
+        assert text in err
+        return err
+
+    def test_each_command_takes_only_the_flags_it_reads(self):
+        (sub,) = (a for a in cli._parser()._actions if isinstance(a, argparse._SubParsersAction))
+        found = {
+            name: {s for action in p._actions for s in action.option_strings} - {"-h", "--help"}
+            for name, p in sub.choices.items()
+        }
+        assert found == self.FLAGS
+        assert sum(map(len, found.values())) == 22
+
+    @pytest.mark.parametrize(
+        "argv, text",
+        [
+            (["bounds", "--n", "3", "--seed", "7"], "unrecognized arguments: --seed 7"),
+            (["bounds", "--n", "3", "--optimize"], "unrecognized arguments: --optimize"),
+            (["bounds", "--n", "3", "--random", "5"], "unrecognized arguments: --random 5"),
+            (["bounds", "--n", "3", "--state", "product"], "unrecognized arguments: --state"),
+            (["contextuality", "--n", "7"], "unrecognized arguments: --n 7"),
+            (["optimize", "--n", "2", "--state", "ghz"], "unrecognized arguments: --state"),
+            (["verify", "--bogus"], "unrecognized arguments: --bogus"),
+            (["verify", "--n", "abc"], "invalid int value: 'abc'"),
+            (["frobnicate"], "invalid choice"),
+            ([], "required: command"),
+        ],
+    )
+    def test_usage_errors_exit_three(self, capsys, argv, text):
+        err = self.exits_with_one_line(capsys, argv, 3, text)
+        assert err.startswith("qwitness: invalid config: ")
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["bounds", "--help"])
+        assert exc.value.code == 0
+        assert "--n N" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["verify", "bounds", "optimize", "witness"])
+    @pytest.mark.parametrize("n", [-1, 0, 1])
+    def test_party_floor(self, capsys, tmp_path, command, n):
+        self.exits_with_one_line(
+            capsys, [command, "--n", str(n)], 3, f"{command} needs at least two parties"
+        )
+        cfg = write_config(tmp_path, {"n_parties": n})
+        self.exits_with_one_line(
+            capsys, [command, "--config", cfg], 3, f"{command} needs at least two parties"
+        )
+
+    @pytest.mark.parametrize("n", [1, 10**6])
+    def test_contextuality_reads_no_party_count(self, capsys, tmp_path, n):
+        cfg = write_config(tmp_path, {"n_parties": n})
+        code, report, _ = run_cli(capsys, ["contextuality", "--config", cfg])
+        assert code == 0 and report["results"]["passed"] is True
+
+    def test_party_count_checked_before_the_optimizer_field(self, capsys, tmp_path):
+        cfg = write_config(tmp_path, {"optimizer": [1, 2]})
+        self.exits_with_one_line(capsys, ["optimize", "--n", "9", "--config", cfg], 4, "cap")
+        self.exits_with_one_line(
+            capsys, ["optimize", "--n", "1", "--config", cfg], 3, "at least two parties"
+        )
+        self.exits_with_one_line(
+            capsys, ["optimize", "--n", "2", "--config", cfg], 3, "optimizer must be"
+        )
 
 
 class TestFactoredPath:

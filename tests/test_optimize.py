@@ -133,6 +133,30 @@ class TestMaximizeViolation:
         assert data["history"][0][0] == 0
 
 
+class TestRestartChoice:
+    @staticmethod
+    def chosen(gain):
+        """Index of the restart _run_restarts keeps when restart 1 beats
+        restart 0 by ``gain``."""
+        values = iter((1.0, 1.0 + gain))
+
+        def ascend(start, max_sweeps):
+            value = next(values)
+            return value, start, 1, True, [(0, value)]
+
+        cfg = OptimizationConfig(restarts=2, seed=3)
+        rng = Lcg64(cfg.seed)
+        starts = [SettingsTable.from_bloch(rng.bloch(2)) for _ in range(2)]
+        settings = optimize._run_restarts(2, ascend, cfg)[1]
+        return starts.index(settings)
+
+    def test_rounding_tie_keeps_the_earlier_restart(self):
+        assert self.chosen(1e-12) == 0
+
+    def test_real_gain_moves_the_choice(self):
+        assert self.chosen(1e-9) == 1
+
+
 class TestSettingRelabelingInvariance:
     def test_max_value_invariant_under_party_setting_swap(self, svet3_opt):
         # Swapping one party's two settings relabels the polynomial's words;

@@ -9,13 +9,17 @@ factored identity residuals and state values against the dense
 anticommutators and expectations, the structured states' trace products
 and the Svetlichny Kronecker-product values against dense traces, the
 closed-form factor norms against the SVD, and the kernel itself against its
-np.tensordot oracle.  Example counts are bounded and derandomized so the
-suite stays fast and repeatable; the explain phase is skipped so that a
-failing property reports quickly.
+np.tensordot oracle.  A last property fuzzes the CLI boundary: every argv
+and config file ends in a named exit code.  Example counts are bounded and
+derandomized so the suite stays fast and repeatable; the explain phase is
+skipped so that a failing property reports quickly.
 """
 
+import contextlib
 import dataclasses
+import io
 import itertools
+import json
 import math
 
 import numpy as np
@@ -653,3 +657,130 @@ def test_kernel_vector_factors_within_rounding(shapes):
         scale = correlation_sum_tensordot(np.abs(coeffs), [np.abs(f) for f in factors])
         assert fast.shape == oracle.shape and fast.dtype == oracle.dtype
         assert np.all(np.abs(fast - oracle) <= 4 * len(shapes) * eps * scale)
+
+
+# The CLI boundary: fuzzed argv and config files.  Party counts straddle the
+# N >= 2 floor and both caps; trial, restart and sweep counts stay at most 3
+# so that no accepted run is long.
+FUZZ_NS = (-1, 0, 1, 2, 3, 9, 10**6)
+NAN = float("nan")
+
+
+def _matrix_pairs(m):
+    return [[[complex(z).real, complex(z).imag] for z in row] for row in m]
+
+
+FUZZ_VALUES = {
+    "--n": st.sampled_from((*map(str, FUZZ_NS), "abc")),
+    "--random": st.sampled_from(("-1", "0", "1", "2", "3", "x")),
+    "--seed": st.sampled_from(("1", "-5", "7", "1.5")),
+    "--corrupt-sign": st.sampled_from(("-1", "0", "3", "8", "1.9")),
+    "--state": st.sampled_from(
+        ("ghz", "mixed", "product", "noisy-ghz:0.5", "noisy-ghz:2", "noisy-ghz:x", "werner")
+    ),
+    "--optimize": st.none(),
+    "--out": st.sampled_from(("report.json", "missing/report.json", ".")),
+    "--bogus": st.none(),
+    "-x": st.just("1"),
+    "7": st.none(),
+}
+# The flags each command takes; any other token is a usage error.
+FUZZ_TAKES = {
+    "verify": ("--n", "--random", "--seed", "--corrupt-sign", "--out"),
+    "bounds": ("--n", "--out"),
+    "optimize": ("--n", "--seed", "--out"),
+    "witness": ("--n", "--state", "--optimize", "--seed", "--out"),
+    "contextuality": ("--state", "--out"),
+}
+
+FUZZ_CONFIG = {
+    "n_parties": st.sampled_from((*FUZZ_NS, True, 2.0, "3", None, NAN)),
+    "seed": st.sampled_from((1, 7, -3, 2.5, True, "1")),
+    "random_trials": st.sampled_from((1, 2, 3, 0, -1, 2.7, True, NAN)),
+    "corrupt_sign": st.sampled_from((0, 3, 8, -1, 1.9, None)),
+    "state": st.sampled_from(("ghz", "mixed", "product", "noisy-ghz:0.7", 5, None, "werner")),
+    "optimize": st.sampled_from((True, False, 1, None)),
+    "optimizer": st.fixed_dictionaries(
+        {"restarts": st.integers(1, 3), "max_iters": st.integers(1, 3)},
+        optional={"seed": st.sampled_from((1, 2.5, True, "x"))},
+    )
+    | st.sampled_from(
+        ([1, 2], "fast", {"restarts": 0, "max_iters": 1}, {"restarts": 1.5, "max_iters": 2})
+    ),
+    "settings": st.sampled_from(
+        (
+            chsh_optimal_settings().to_json_dict(),
+            SettingsTable.from_bloch(np.tile([[1.0, 0, 0], [0, 1.0, 0]], (3, 1, 1))).to_json_dict(),
+            {"parties": [[[NAN, 0, 1], [1, 0, 0]]] * 3},
+            {"parties": [[[1, 0, 0]]] * 3},
+            {"parties": []},
+            "x",
+        )
+    ),
+    "product_blochs": st.sampled_from(
+        ([[0, 0, 1]] * 3, [[NAN, 0, 1]] * 3, [[2, 0, 0]] * 3, [[0, 0, 1]], "x")
+    ),
+    "state_matrix": st.sampled_from(
+        (
+            _matrix_pairs(np.eye(4) / 4),
+            _matrix_pairs(np.diag([1.5, -0.5, 0, 0])),
+            _matrix_pairs(np.diag([NAN, 1, 0, 0])),
+            [[[1, 0]]],
+            "x",
+        )
+    ),
+    "cycle": st.sampled_from(
+        (
+            # X and Z on one qubit do not commute: the cycle check fails (exit 2).
+            {
+                "a": _matrix_pairs(np.kron(PAULI_X, IDENTITY_2)),
+                "b": _matrix_pairs(np.kron(PAULI_Z, IDENTITY_2)),
+                "c": _matrix_pairs(np.eye(4)),
+                "d": _matrix_pairs(np.eye(4)),
+            },
+            3,
+            {"a": 1},
+            {},
+            None,
+        )
+    ),
+}
+
+
+@pytest.mark.parametrize("command", sorted(FUZZ_TAKES))
+@bounded(100)
+@given(data=st.data())
+def test_cli_ends_in_a_named_exit_code(command, data, tmp_path_factory):
+    workdir = tmp_path_factory.getbasetemp() / "cli_fuzz"
+    workdir.mkdir(exist_ok=True)
+    flags = data.draw(st.lists(st.sampled_from(FUZZ_TAKES[command]), max_size=4))
+    # One time in three, a token the command may not take.
+    foreign = data.draw(st.sampled_from((None,) * 20 + tuple(sorted(FUZZ_VALUES))))
+    flags += [foreign] if foreign else []
+    groups = []
+    for flag in flags:
+        value = data.draw(FUZZ_VALUES[flag])
+        if flag == "--out":
+            value = str(workdir / value)
+        groups.append([flag] if value is None else [flag, value])
+    keys = data.draw(st.lists(st.sampled_from(sorted(FUZZ_CONFIG)), max_size=3, unique=True))
+    config = {key: data.draw(FUZZ_CONFIG[key]) for key in keys}
+    # The optimizer defaults run 20 restarts; keep accepted runs short.
+    config.setdefault("optimizer", {"restarts": 1, "max_iters": 3})
+    files = {"config.json": json.dumps(config), "list.json": "[1]", "bad.json": "{not json"}
+    for name, text in files.items():
+        (workdir / name).write_text(text, encoding="utf-8")
+    config_path = data.draw(st.sampled_from(("config.json",) * 8 + (*files, "absent.json")))
+    groups.append(["--config", str(workdir / config_path)])
+    argv = [command] + [arg for group in data.draw(st.permutations(groups)) for arg in group]
+
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert code in (0, 2, 3, 4)
+    if code == 0:
+        assert json.loads(out.getvalue())["command"] == command
+        assert err.getvalue() == ""
+    if code in (3, 4):
+        assert out.getvalue() == ""
+        assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n")

@@ -31,7 +31,6 @@ from .classical import (
     noncontextual_bound,
 )
 from .ineq import (
-    COMPATIBILITY_TOL,
     CYCLE_PAIRS,
     PSD_TOL,
     CertificationError,
@@ -175,8 +174,6 @@ def _build_state(cfg: dict, n_parties: int) -> tuple[NoisyGhz | ProductState, st
             v = float(tag.split(":", 1)[1])
         except ValueError:
             raise ConfigError(f"bad visibility in state tag {tag!r}")
-        if not 0.0 <= v <= 1.0:
-            raise ConfigError("visibility must lie in [0, 1]")
         return NoisyGhz(n_parties, v), tag
     raise ConfigError(f"unknown state tag {tag!r}")
 
@@ -338,11 +335,8 @@ def cmd_contextuality(cfg: dict) -> tuple[dict, int]:
     elif "state" in cfg:
         ec_value = expectation(ec.matrix, _build_state(cfg, 2)[0].matrix())
 
-    passed = (
-        all(v <= EXACT_IDENTITY_TOL for v in residuals.values())
-        and all(v >= -PSD_TOL for v in min_eigs.values())
-        and all(v <= COMPATIBILITY_TOL for v in pair_norms.values())
-    )
+    # noncontextual_identities has enforced compatibility and positivity.
+    passed = all(v <= EXACT_IDENTITY_TOL for v in residuals.values())
     results = {
         "compatibility_norms": pair_norms,
         "identity_residuals": residuals,
@@ -430,17 +424,24 @@ def _merge_config(args: argparse.Namespace) -> dict:
     cfg.update(flags)
     cfg.setdefault("n_parties", 3)
     cfg.setdefault("seed", 1)
-    for key in ("n_parties", "seed", "random_trials", "corrupt_sign"):
+    command = _COMMANDS[cfg["command"]]
+    # The config keys of the command's integer flags: only the fields the
+    # command reads are checked.
+    integers = [
+        _FLAGS[flag].get("dest", flag.replace("-", "_"))
+        for flag in command.flags.split()
+        if _FLAGS[flag].get("type") is int
+    ]
+    for key in integers:
         # bool is an int subclass, so true/false would pass a plain check.
         if key in cfg and (isinstance(cfg[key], bool) or not isinstance(cfg[key], int)):
             raise ConfigError(f"{key} must be an integer, got {cfg[key]!r}")
-    if cfg.get("random_trials", 1) < 1:
+    if "random_trials" in integers and cfg.get("random_trials", 1) < 1:
         raise ConfigError(f"random_trials must be at least 1, got {cfg['random_trials']}")
-    check_parties = _COMMANDS[cfg["command"]].check_parties
-    if check_parties is not None:
+    if command.check_parties is not None:
         if cfg["n_parties"] < 2:
             raise ConfigError(f"{cfg['command']} needs at least two parties")
-        check_parties(cfg["n_parties"])
+        command.check_parties(cfg["n_parties"])
     return cfg
 
 
@@ -449,9 +450,6 @@ def main(argv=None) -> int:
     try:
         cfg = _merge_config(_parser().parse_args(argv))
         results, code = _COMMANDS[cfg["command"]].run(cfg)
-    except ConfigError as exc:
-        print(f"qwitness: invalid config: {exc}", file=sys.stderr)
-        return EXIT_INVALID_CONFIG
     except CapExceededError as exc:
         print(f"qwitness: {exc}", file=sys.stderr)
         return EXIT_CAP_EXCEEDED

@@ -80,6 +80,8 @@ class SignPattern:
 
     def flipped(self, index: int) -> "SignPattern":
         """Copy with one coefficient negated (fault-injection hook)."""
+        if not 0 <= index < len(self.coeffs):
+            raise ValueError(f"sign index {index} out of range 0..{len(self.coeffs) - 1}")
         coeffs = list(self.coeffs)
         coeffs[index] = -coeffs[index]
         return SignPattern(self.n_parties, tuple(coeffs))

@@ -2,8 +2,7 @@
 
 Products, Kronecker products, (anti)commutators, Hermitian eigenvalues and
 positivity checks on plain complex numpy matrices.  Every function is pure:
-no argument is mutated, so values can be shared freely between concurrent
-workers.
+no argument is mutated.
 """
 
 from __future__ import annotations

@@ -13,9 +13,9 @@ The state-free objective is the largest eigenvalue of the inequality
 operator (its optimal state is the matching eigenvector): each sweep runs
 on the current top eigenvector, which cannot lower the eigenvalue.  A
 state-bound variant maximizes the expectation on a fixed state.  Only the
-environments depend on the state: leave-one-out products for the
-structured qobs.NoisyGhz and qobs.ProductState, partial products of the
-eigenvector, and the Pauli correlation tensor of a plain density matrix.
+environments depend on the state: leave-one-out products of a structured
+state's product-sum form (qobs.NoisyGhz, qobs.ProductState), partial
+products of the eigenvector, and the Pauli correlation tensor of a matrix.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ from .ineq import (
 )
 from .opalg import check_eig_parties, hermitian_eigenvalues
 from .qobs import (
+    PAULI_TRACES,
     PAULIS,
     BlochVector,
     NoisyGhz,
@@ -49,14 +50,8 @@ ORACLE_CHECK_TOL = 1e-9
 
 INEQUALITY_KINDS = ("chsh", "svetlichny")
 
-# _PAULI_ENTRIES[k, 2a + b] = sigma_k[a, b], so sum_ab sigma_k[a, b] C[a, b]
-# is _PAULI_ENTRIES @ C.reshape(4).
-_PAULI_ENTRIES = PAULIS.reshape(3, 4)
 # z = n_0 + i n_1 is _ONE_I @ (n_0, n_1).
 _ONE_I = np.array([1.0, 1.0j])
-# The state_sum table of sigma_x, sigma_y, sigma_z: row 2r + c, column k
-# holds sigma_k[c, r], the conjugate of sigma_k[r, c].
-_PAULI_TABLE = _PAULI_ENTRIES.T.conj()
 
 
 class Lcg64:
@@ -147,7 +142,7 @@ def _correlation_tensor(rho: np.ndarray) -> np.ndarray:
     """T[k_0, ..., k_{N-1}] = Re tr(rho sigma_k0 x ... x sigma_k{N-1}) for
     k_p in (x, y, z)."""
     n = rho.shape[0].bit_length() - 1
-    return state_sum(rho, [_PAULI_TABLE] * n).real
+    return state_sum(rho, [PAULI_TRACES[:, 1:]] * n).real
 
 
 def _z(bloch: np.ndarray) -> np.ndarray:
@@ -191,32 +186,25 @@ def _sweep(environments, bloch: np.ndarray) -> tuple[float, np.ndarray]:
 
 
 def _structured_environments(state: NoisyGhz | ProductState):
-    """Environments on a structured state, from leave-one-out products.
+    """Environments on a structured state, from its product-sum form.
 
-    Against traceless factors x_q.sigma the state's trace is
-    scale * sum_d prod_q (local_q @ x_q)[d].  GHZ: tr(GHZ (x)_q X_q) is
-    1/2 sum_ab prod_q X_q[a, b], and local_q @ z_q is G_q's four entries;
-    the maximally mixed part of a noisy GHZ state adds nothing, because
-    G_q is traceless.  Product state: tr(rho_q x.sigma) = m_q . x for the
-    party's Bloch vector m_q.
-
-    Party p's environment is c @ local_p for c = scale * prod_{q != p}
-    local_q @ z_q: suffix products over the parties not yet moved times a
-    running product over those that have, so a sweep costs O(N).
+    The state's trace against (x)_q X_q is sum_d w_d prod_q terms(X)[q, d],
+    linear in each X_q.  With local[q, d, k] the d-th term of sigma_k at
+    qubit q, G_q's terms are local_q @ z_q, and party p's environment is
+    c @ local_p for c = w * prod_{q != p} local_q @ z_q: suffix products
+    over the parties not yet moved times a running product over those that
+    have, so a sweep costs O(N).
     """
-    if isinstance(state, NoisyGhz):
-        scale = state.visibility / 2.0
-        local = np.broadcast_to(_PAULI_ENTRIES.T, (state.n_parties, 4, 3))
-    else:
-        scale, local = 1.0, np.array([[v.as_list()] for v in state.blochs])
+    n = state.n_parties
+    local = state.terms(np.broadcast_to(PAULIS, (n, 3, 2, 2))).swapaxes(1, 2)
 
     def environments(bloch):
         s = np.einsum("qdk,qk->qd", local, _z(bloch))
         # after[p] = prod_{q > p} s_q.
         after = np.ones_like(s)
         after[:-1] = np.cumprod(s[:0:-1], axis=0)[::-1]
-        before = np.full(s.shape[1], scale, dtype=np.complex128)
-        for p in range(len(s)):
+        before = np.array(state.weights, dtype=np.complex128)
+        for p in range(n):
             if p:
                 before = before * (local[p - 1] @ _z(bloch[p - 1]))
             yield (before * after[p]) @ local[p]
@@ -265,9 +253,10 @@ def _vector_environments(psi: np.ndarray):
             if p:
                 moved = pauli_factors(_z(bloch[p - 1])).conj().T
                 left = (moved @ _split(left, p - 1)).reshape(-1)
-            # C[a, b] = sum over the other parties of conj(L[.., a, ..]) R[.., b, ..].
-            c = np.einsum("iaj,ibj->ab", _split(left, p).conj(), _split(right[p], p))
-            yield _PAULI_ENTRIES @ c.reshape(4)
+            # C[b, a] = sum over the other parties of conj(L[.., a, ..]) R[.., b, ..],
+            # and e_k = sum_ab sigma_k[a, b] C[b, a] = tr(sigma_k C).
+            c = np.einsum("iaj,ibj->ba", _split(left, p).conj(), _split(right[p], p))
+            yield c.reshape(4) @ PAULI_TRACES[:, 1:]
 
     return environments
 
@@ -388,33 +377,28 @@ def maximize_expectation(
     needs no 2^N array."""
     cfg = cfg or OptimizationConfig()
     _validate_kind(n_parties, kind)
-    structured = isinstance(rho, (NoisyGhz, ProductState))
-    if structured:
-        if rho.n_parties != n_parties:
-            raise ValueError(f"state has {rho.n_parties} qubits, expected {n_parties}")
-        environments = _structured_environments(rho)
-    else:
+    dense = isinstance(rho, np.ndarray)
+    if dense:
         dim = 2**n_parties
         if rho.shape != (dim, dim):
             raise ValueError(f"state has shape {rho.shape}, expected {(dim, dim)}")
         environments = _tensor_environments(_correlation_tensor(rho))
+    else:
+        if rho.n_parties != n_parties:
+            raise ValueError(f"state has {rho.n_parties} qubits, expected {n_parties}")
+        environments = _structured_environments(rho)
     value, settings, sweeps, converged, history = _run_restarts(
         n_parties,
         lambda start, max_sweeps: _expectation_see_saw(start, environments, max_sweeps),
         cfg,
     )
-    dense = rho.matrix() if structured else rho
-    check = expectation(svetlichny_operator(settings).matrix, dense)
+    check = expectation(svetlichny_operator(settings).matrix, rho if dense else rho.matrix())
     if abs(check - value) > ORACLE_CHECK_TOL:  # pragma: no cover - internal consistency
         raise RuntimeError(f"optimizer value {value} disagrees with oracle {check}")
     return OptimizationResult(value, settings, sweeps, converged, history)
 
 
-def violation_threshold(
-    n_parties: int,
-    cfg: OptimizationConfig | None = None,
-    state_family: str = "noisy-ghz",
-) -> float:
+def violation_threshold(n_parties: int, cfg: OptimizationConfig | None = None) -> float:
     """Visibility at which the optimized inequality value crosses 2^(N-1)
     for the family v * ghz + (1 - v) * I/d.
 
@@ -425,9 +409,6 @@ def violation_threshold(
     """
     if n_parties < 3:
         raise ValueError("threshold scans need at least three parties")
-    if state_family != "noisy-ghz":
-        raise ValueError(f"unsupported state family {state_family!r}")
-    check_eig_parties(n_parties)
     cfg = cfg or OptimizationConfig()
     bound = 2.0 ** (n_parties - 1)
     best = maximize_expectation(n_parties, "svetlichny", NoisyGhz(n_parties), cfg).best_value

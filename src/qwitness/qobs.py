@@ -6,8 +6,9 @@ leftmost tensor factor; |0> is the +1 eigenvector of sigma_z.
 
 The reference states come in two forms: dense 2^N x 2^N matrices
 (ghz_state, maximally_mixed, product_state, noisy_mixture) and structured
-states (NoisyGhz, ProductState) whose trace_product evaluates
-tr(rho (x)_p X_p) from the factors in O(N), with matrix() for the dense form.
+states (NoisyGhz, ProductState) in one product-sum form, from which
+trace_product evaluates tr(rho (x)_p X_p) in O(N), with matrix() for the
+dense form.
 """
 
 from __future__ import annotations
@@ -24,6 +25,9 @@ PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=np.complex128)
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=np.complex128)
 IDENTITY_2 = np.eye(2, dtype=np.complex128)
 PAULIS = np.stack([PAULI_X, PAULI_Y, PAULI_Z])
+# Row 2r + c holds sigma_k[c, r] for sigma_k in (I, x, y, z), so the entries
+# X[r, c] of a factor, at 2r + c, times this table give every tr(sigma_k X).
+PAULI_TRACES = np.stack([IDENTITY_2, *PAULIS]).swapaxes(-1, -2).reshape(4, 4).T
 
 UNIT_NORM_TOL = 1e-12
 IMAGINARY_PART_TOL = 1e-10
@@ -173,23 +177,32 @@ def noisy_mixture(rho: np.ndarray, v: float) -> np.ndarray:
     return v * rho + (1.0 - v) * np.eye(dim) / dim
 
 
-def _check_dimension(n_parties: int, factors) -> None:
-    """Square factors for a trace_product must act on exactly N qubits."""
-    dim = math.prod(len(x) for x in factors)
-    if dim != 2**n_parties:
-        raise ValueError(f"factors act on dimension {dim}, the state on 2^{n_parties}")
+class _ProductSum:
+    """A structured state: ``weights`` (length D) and ``terms``, which maps
+    2x2 factors of shape (N, ..., 2, 2) to (N, ..., D) linearly in each
+    factor, give tr(rho (x)_p X_p) = sum_d weights[d] prod_p terms(X)[p, d]
+    with no 2^N array."""
+
+    def trace_product(self, factors):
+        """tr(rho (x)_p X_p) for 2x2 factors of shape (N, ..., 2, 2), party 0
+        first; the axes between give a stack of traces."""
+        factors = np.asarray(factors)
+        if factors.ndim < 3 or (len(factors), *factors.shape[-2:]) != (self.n_parties, 2, 2):
+            raise ValueError(
+                f"factors of shape {factors.shape} do not act on dimension 2^{self.n_parties}"
+            )
+        return self.terms(factors).prod(axis=0) @ self.weights
 
 
 @dataclass(frozen=True)
-class NoisyGhz:
+class NoisyGhz(_ProductSum):
     """v GHZ + (1 - v) I/d on N qubits; the GHZ state is v = 1, the maximally
     mixed state v = 0.
 
-    trace_product needs no 2^N array.  The GHZ projector's four nonzero
-    entries pair |0...0> and |1...1>, so tr(GHZ (x)_p X_p) is
-    1/2 sum_ij prod_p X_p[i, j], where i, j in {0, 1} pick the first or last
-    index of each factor (0 or 3 for a 4 x 4 one), and
-    tr(I/d (x)_p X_p) is prod_p tr X_p / d_p.
+    The GHZ projector's four nonzero entries pair |0...0> and |1...1>, so
+    tr(GHZ (x)_p X_p) is 1/2 sum_ij prod_p X_p[i, j], and tr(I/d (x)_p X_p)
+    is prod_p tr X_p / 2: five terms, each factor's four entries with weight
+    v/2 and half its trace with weight 1 - v.
     """
 
     n_parties: int
@@ -201,13 +214,14 @@ class NoisyGhz:
         if not 0.0 <= self.visibility <= 1.0:
             raise ValueError("visibility must lie in [0, 1]")
 
-    def trace_product(self, factors) -> complex:
-        """tr(rho (x)_p X_p) for square factors X_p, party 0 leftmost."""
-        _check_dimension(self.n_parties, factors)
-        corners = np.array([x[:: len(x) - 1, :: len(x) - 1] for x in factors])
-        ghz = corners.prod(axis=0).sum() / 2.0
-        mixed = math.prod(x.trace() / len(x) for x in factors)
-        return complex(self.visibility * ghz + (1.0 - self.visibility) * mixed)
+    @property
+    def weights(self) -> np.ndarray:
+        v = self.visibility
+        return np.array([v / 2.0] * 4 + [1.0 - v])
+
+    def terms(self, factors) -> np.ndarray:
+        entries = factors.reshape(*factors.shape[:-2], 4)
+        return np.concatenate([entries, (entries[..., :1] + entries[..., 3:]) / 2.0], axis=-1)
 
     def matrix(self) -> np.ndarray:
         """The dense 2^N x 2^N density matrix."""
@@ -218,15 +232,16 @@ class NoisyGhz:
 
 
 @dataclass(frozen=True)
-class ProductState:
+class ProductState(_ProductSum):
     """(x)_p (I + n_p.sigma)/2, one pure qubit state per party.
 
-    trace_product needs no 2^N array: tr(rho (x)_p X_p) is
-    prod_p tr(rho_p X_p), and a 4 x 4 factor meets the product of its two
-    parties' states.
+    One term: tr(rho (x)_p X_p) is prod_p tr(rho_p X_p), and
+    tr(rho_p X) = (tr X + n_p . tr(sigma X))/2, exactly n_p's k-th entry for
+    X = sigma_k.
     """
 
     blochs: tuple[BlochVector, ...]
+    weights = (1.0,)
 
     def __post_init__(self):
         blochs = tuple(self.blochs)
@@ -238,17 +253,10 @@ class ProductState:
     def n_parties(self) -> int:
         return len(self.blochs)
 
-    def trace_product(self, factors) -> complex:
-        """tr(rho (x)_p X_p) for square factors X_p, party 0 leftmost."""
-        _check_dimension(self.n_parties, factors)
-        states = iter((IDENTITY_2 + pauli_factors([v.as_list() for v in self.blochs])) / 2.0)
-        out = 1.0 + 0.0j
-        for x in factors:
-            local = next(states)
-            while len(local) < len(x):
-                local = np.kron(local, next(states))
-            out *= np.sum(local * x.T)
-        return complex(out)
+    def terms(self, factors) -> np.ndarray:
+        coords = np.array([[1.0, *v.as_list()] for v in self.blochs])
+        traces = factors.reshape(*factors.shape[:-2], 4) @ PAULI_TRACES
+        return np.einsum("p...k,pk->p...", traces, coords)[..., np.newaxis] / 2.0
 
     def matrix(self) -> np.ndarray:
         """The dense 2^N x 2^N density matrix."""

@@ -32,16 +32,16 @@ State values come from the same factors.  The witness value on rho is
 4(2^(N-1) - <I_svet>) + tr(rho R).  The Svetlichny sign (-1)^floor(k/2) is
 sqrt(2) Re(e^{-i pi/4} i^k), so the Svetlichny operator is the Hermitian
 part of (1 - i) (x)_p (F_p0 + i F_p1) (the Mermin-Ardehali-Belinskii-Klyshko
-product form) and both traces are traces of Kronecker products.  A state's
-trace_product evaluates tr(rho (x)_p X_p) in O(N) on the structured states
-qobs.NoisyGhz and qobs.ProductState, which are never made dense.  A density
-matrix, and any state under another sign pattern, takes the coefficient
-path: one state_sum of rho against per-party factor tables for each trace,
-whose imaginary part is checked.  No 2^N x 2^N operator is built on either
-path.  The dense construction these formulas are tested against
-(witness_pair, element_witness, total_witness, total_defect) is in dense,
-which no program module imports; svetlichny_operator with qobs.expectation
-checks the values.
+product form) and both traces, R's as a sum of two, are traces of
+Kronecker products of 2x2 factors, which a state's trace_product evaluates
+in O(N) on the structured states qobs.NoisyGhz and qobs.ProductState, never
+made dense.  A density matrix, and any state under another sign pattern,
+takes the coefficient path: one state_sum of rho against per-party factor
+tables for each trace, whose imaginary part is checked.  No 2^N x 2^N
+operator is built on either path.  The dense construction these formulas
+are tested against (witness_pair, element_witness, total_witness,
+total_defect) is in dense, which no program module imports;
+svetlichny_operator with qobs.expectation checks the values.
 """
 
 from __future__ import annotations
@@ -113,18 +113,20 @@ class FactoredIdentities:
     ``signs`` holds the certified (2^(N-2), 4) sign vectors (the pattern's
     coefficients in word order), ``coeffs`` c_u = a_u b_u per element,
     ``squares`` the fixed parties' S_{p,s} = F_{p,s}^2 with shape
-    (N-2, 2, 2, 2), and ``m`` the 4 x 4 factor M that every element shares.
-    ``residuals`` maps ``chsh_4e`` (N = 2) or ``element_xi<k>`` per element,
-    and ``total``, to the Frobenius norms of the defects.  For the Svetlichny
-    pattern ``differences`` holds the fixed parties' S_{p,0} - S_{p,1}, of
-    shape (N-2, 2, 2), whose Kronecker product with M is R; for any other
-    pattern it is None.
+    (N-2, 2, 2, 2), ``m`` the 4 x 4 factor M that every element shares, and
+    ``m_terms`` its two Kronecker terms, M = sum_k m_terms[0, k] (x)
+    m_terms[1, k].  ``residuals`` maps ``chsh_4e`` (N = 2) or
+    ``element_xi<k>`` per element, and ``total``, to the Frobenius norms of
+    the defects.  For the Svetlichny pattern ``differences`` holds the fixed
+    parties' S_{p,0} - S_{p,1}, of shape (N-2, 2, 2), whose Kronecker product
+    with M is R; for any other pattern it is None.
     """
 
     signs: np.ndarray
     coeffs: np.ndarray
     squares: np.ndarray
     m: np.ndarray
+    m_terms: np.ndarray
     residuals: dict[str, float]
     differences: np.ndarray | None = None
 
@@ -137,9 +139,10 @@ class FactoredIdentities:
 
     def defect_trace(self, state) -> float:
         """tr(rho R) for the Svetlichny pattern, as one trace_product of a
-        structured state (qobs.NoisyGhz, qobs.ProductState) with R's
-        Kronecker factors."""
-        return real_trace(state.trace_product([*self.differences, self.m]))
+        structured state (qobs.NoisyGhz, qobs.ProductState) with R's two
+        Kronecker terms stacked: the differences with each term of M."""
+        fixed = np.broadcast_to(self.differences[:, np.newaxis], (len(self.differences), 2, 2, 2))
+        return real_trace(state.trace_product(np.concatenate([fixed, self.m_terms])).sum())
 
 
 def factored_identities(
@@ -157,7 +160,8 @@ def factored_identities(
     squares = obs @ obs
     (a0, a1), (b0, b1) = obs[n - 2 :]
     (sa0, sa1), (sb0, sb1) = squares[n - 2 :]
-    m = np.kron(sa0 - sa1, b0 @ b1 + b1 @ b0) + np.kron(a0 @ a1 + a1 @ a0, sb0 - sb1)
+    m_terms = np.array([[sa0 - sa1, a0 @ a1 + a1 @ a0], [b0 @ b1 + b1 @ b0, sb0 - sb1]])
+    m = np.kron(*m_terms[:, 0]) + np.kron(*m_terms[:, 1])
     m_norm = frob_norm(m)
     fixed = squares[: n - 2]
 
@@ -187,6 +191,7 @@ def factored_identities(
         coeffs=coeffs,
         squares=fixed,
         m=m,
+        m_terms=m_terms,
         residuals=residuals,
         differences=differences,
     )

@@ -516,11 +516,25 @@ class TestIntegerFields:
         ],
     )
     def test_optimizer_fields_rejected(self, capsys, tmp_path, payload):
+        # random_trials and corrupt_sign are read by verify only.
+        command = "verify" if payload.keys() & {"random_trials", "corrupt_sign"} else "optimize"
         cfg = write_config(tmp_path, payload)
-        code, report, err = run_cli(capsys, ["optimize", "--n", "2", "--config", cfg])
+        code, report, err = run_cli(capsys, [command, "--n", "2", "--config", cfg])
         assert code == 3
         assert report is None
         assert "must be an integer" in err
+
+    @pytest.mark.parametrize(
+        "payload, argv",
+        [({"n_parties": "x"}, ["contextuality"]), ({"random_trials": 0}, ["bounds", "--n", "3"])],
+        ids=["n_parties-contextuality", "random_trials-bounds"],
+    )
+    def test_fields_a_command_does_not_read_are_not_checked(self, capsys, tmp_path, payload, argv):
+        cfg = write_config(tmp_path, payload)
+        code, report, err = run_cli(capsys, [*argv, "--config", cfg])
+        assert code == 0
+        assert report is not None
+        assert err == ""
 
     @pytest.mark.parametrize("value", [True, 3.0, "3"])
     def test_n_parties_rejected(self, capsys, tmp_path, value):

@@ -55,6 +55,14 @@ class TestSignPattern:
         p = svetlichny_pattern(2).flipped(3)
         assert p.coeffs == (1, 1, 1, 1)
 
+    def test_flipped_index_checked(self):
+        p = svetlichny_pattern(3)
+        assert p.flipped(0).coeffs[0] == -p.coeffs[0]
+        assert p.flipped(7).coeffs[7] == -p.coeffs[7]
+        for index in (-1, 8):
+            with pytest.raises(ValueError, match="out of range"):
+                p.flipped(index)
+
     def test_rejects_wrong_length(self):
         with pytest.raises(ValueError, match="coefficients"):
             SignPattern(3, (1, -1))

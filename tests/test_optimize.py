@@ -255,10 +255,6 @@ class TestViolationThreshold:
         with pytest.raises(ValueError, match="three"):
             violation_threshold(2, SMALL)
 
-    def test_unknown_family(self):
-        with pytest.raises(ValueError, match="family"):
-            violation_threshold(3, SMALL, state_family="werner")
-
 
 class TestConfig:
     def test_validation(self):

@@ -7,7 +7,8 @@ inequality operators and the see-saw optimizer's values and updates, the
 norm certificate for the witness pairs against dense eigenvalues, the
 factored identity residuals and state values against the dense
 anticommutators and expectations, the structured states' trace products
-and the Svetlichny Kronecker-product values against dense traces, the
+(also on a test-only state known only by its product-sum form) and the
+Svetlichny Kronecker-product values against dense traces, the
 closed-form factor norms against the SVD, and the kernel itself against its
 np.tensordot oracle.  A last property fuzzes the CLI boundary: every argv
 and config file ends in a named exit code.  Example counts are bounded and
@@ -17,6 +18,7 @@ skipped so that a failing property reports quickly.
 
 import contextlib
 import dataclasses
+import functools
 import io
 import itertools
 import json
@@ -83,6 +85,7 @@ from qwitness.qobs import (
     NoisyGhz,
     ProductState,
     SettingsTable,
+    _ProductSum,
     expectation,
     ghz_state,
     maximally_mixed,
@@ -505,11 +508,9 @@ def dense_trace(rho, factors):
 
 
 def square_factors(data, n):
-    """Random complex factors on n qubits, 2 x 2 each, with the last two
-    qubits sometimes one 4 x 4 block, as in R's Kronecker factors."""
+    """Random complex 2 x 2 factors, one per qubit."""
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-    sizes = [2] * (n - 2) + ([4] if data.draw(st.booleans()) else [2, 2])
-    return [rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)) for d in sizes]
+    return [rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)) for _ in range(n)]
 
 
 def structured_states(data, n):
@@ -538,6 +539,63 @@ def test_trace_product_equals_dense_trace(n, data):
     for state in structured_states(data, n):
         dense = dense_trace(state.matrix(), factors)
         assert abs(state.trace_product(factors) - dense) <= TRACE_PRODUCT_TOL * scale
+
+
+class ProductSumState(_ProductSum):
+    """A state known only by its product-sum form: rho = sum_d w_d (x)_p
+    L[p, d], with terms tr(L[p, d] X_p).  Each L[p, d] is Hermitian of unit
+    Frobenius norm and sum_d |w_d| = 1, so rho is Hermitian, though not
+    always positive, and |tr(rho (x)_p X_p)| <= prod_p ||X_p||_F."""
+
+    def __init__(self, weights, local):
+        self.weights, self.local, self.n_parties = weights, local, len(local)
+
+    def terms(self, factors):
+        return np.einsum("pdab,p...ba->p...d", self.local, factors)
+
+    def matrix(self):
+        terms = (functools.reduce(np.kron, self.local[:, d]) for d in range(len(self.weights)))
+        return sum(w * term for w, term in zip(self.weights, terms))
+
+
+def product_sum_states(n):
+    def build(seed):
+        rng = np.random.default_rng(seed)
+        depth = int(rng.integers(1, 6))
+        a = rng.standard_normal((n, depth, 2, 2)) + 1j * rng.standard_normal((n, depth, 2, 2))
+        local = a + a.conj().swapaxes(-1, -2)
+        local /= np.linalg.norm(local, axis=(-2, -1), keepdims=True)
+        weights = rng.standard_normal(depth)
+        return ProductSumState(weights / np.abs(weights).sum(), local)
+
+    return st.integers(0, 2**32 - 1).map(build)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+@bounded(6)
+@given(data=st.data())
+def test_product_sum_form_is_the_only_interface(n, data):
+    # A state with random weights and terms, known to trace_product and to
+    # the see-saw only through them, against its dense matrix: one trace,
+    # a stack of three, and one sweep checked in lockstep as above.
+    state = data.draw(product_sum_states(n))
+    rho = state.matrix()
+    factors = square_factors(data, n)
+    scale = math.prod(float(np.linalg.norm(x)) for x in factors)
+    trace = state.trace_product(factors)
+    assert abs(trace - dense_trace(rho, factors)) <= TRACE_PRODUCT_TOL * scale
+    stack = np.array([square_factors(data, n) for _ in range(3)]).swapaxes(0, 1)
+    for x, trace in zip(stack.swapaxes(0, 1), state.trace_product(stack)):
+        scale = math.prod(float(np.linalg.norm(f)) for f in x)
+        assert abs(trace - dense_trace(rho, x)) <= TRACE_PRODUCT_TOL * scale
+    corr = pauli_correlation_tensor(rho)
+    bloch = data.draw(settings_tables(n)).bloch.copy()
+    for party, env in enumerate(_structured_environments(state)(bloch)):
+        oracle = bloch.copy()
+        norms = correlation_update_party(oracle, corr, party)
+        value = _set_party(bloch, party, env)
+        assert abs(value - np.sum(norms)) <= OPERATOR_TOL
+        assert np.max(norms[:, None] * np.abs(bloch[party] - oracle[party])) <= OPERATOR_TOL
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])

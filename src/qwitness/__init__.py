@@ -4,8 +4,8 @@ For positive operators X, Y from a commuting algebra, {X, Y} = XY + YX is
 nonnegative; quantum mechanics violates this.  This package builds the
 witness pairs behind the CHSH inequality, its 4-cycle noncontextual variant,
 and the N-qubit Svetlichny inequality, verifies the operator identities that
-tie witnesses to inequality operators, computes classical and hybrid bounds
-by exhaustive enumeration, and optimizes measurement settings to certify
+tie witnesses to inequality operators, computes exact classical and hybrid
+bounds, and optimizes measurement settings to certify
 quantum violations.
 """
 

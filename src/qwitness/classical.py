@@ -1,10 +1,10 @@
-"""Exhaustive classical baselines for full-correlation polynomials.
+"""Classical baselines for full-correlation polynomials.
 
 Everything here is exact integer combinatorics: strategies and coefficients
 are +/-1, so bounds carry no float noise.  Each bound reports the first
 maximizer in lexicographic strategy order, and its argmax is re-evaluated
-by the word-by-word oracle (evaluate_strategy, evaluate_hybrid) on every
-call.
+by an independent integer evaluation (evaluate_strategy, evaluate_hybrid)
+on every call.
 
 Strategy encodings (lexicographic order = ascending index):
 
@@ -19,10 +19,27 @@ Strategy encodings (lexicographic order = ascending index):
 
 How the maxima are found:
 
-* lhv_bound contracts the coefficient tensor with the 4 x 2 digit -> outcome
-  table of every party (ineq.correlation_sum).  That yields all 4^N
-  strategy values in index order at O(N 4^N) cost, and np.argmax returns
-  the first maximizer.
+* lhv_bound first tests whether the pattern is in the two-term family
+  coeffs[w] = Re[kappa prod_p c_p(w_p)] with c_p in {+-1, +-i} and
+  c_p(1)/c_p(0) = +-i: the Svetlichny pattern (kappa = 1 - i, c_p = (1, i))
+  and every per-party setting swap or outcome flip of it.  The test is an
+  O(1) check that the first four words are CHSH-type, then one exact pass
+  over the words that stops at the first mismatch.  On the family a
+  strategy scores Re[kappa prod_p c_p(0) (o_p(0) + o_p(1) r_p)] with
+  r_p = c_p(1)/c_p(0), and the four digits of a party give sqrt(2) times
+  the four phases (1 + i) i^t, t in Z_4.  The value depends only on the
+  phase class J = sum_p t_p mod 4, and the last party alone reaches every
+  class, so the first maximizer is digit 0 for parties 0..N-2 and, for
+  the last party, the smallest digit reaching a maximal class.  This is
+  the phase argument behind the Svetlichny pattern's local maximum
+  2^ceil(N/2) (Werner & Wolf, PRA 64, 032112, 2001), computed in Gaussian
+  integers with no table of strategy values.
+* Every other pattern contracts the coefficient tensor with the 4 x 2
+  digit -> outcome table of every party (ineq.correlation_sum).  That
+  yields all 4^N strategy values in index order at O(N 4^N) cost, and
+  argmax returns the first maximizer.
+* On both paths ``evaluations`` is 4^N, the size of the strategy space the
+  maximum ranges over, not the work done.
 * hybrid_bound, per bipartition with coefficient matrix C (rows: group A
   words, columns: group B words), enumerates the responses of the smaller
   group only.  Against a fixed response r the other group's best reply
@@ -102,52 +119,122 @@ class BoundResult:
         }
 
 
+# Outcomes of a party digit d (rows) for settings 0 and 1 (columns), and
+# the same table as setting (rows) by digit (columns) for correlation_sum.
+_DIGITS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
+_DIGIT_OUTCOMES = np.array(_DIGITS, dtype=np.int64).T
+
+
 def _decode_strategy(n: int, index: int) -> DeterministicStrategy:
-    outcomes = []
-    for p in range(n):
-        d = (index >> (2 * (n - 1 - p))) & 3
-        outcomes.append((1 - 2 * ((d >> 1) & 1), 1 - 2 * (d & 1)))
-    return DeterministicStrategy(tuple(outcomes))
+    return DeterministicStrategy(
+        tuple(_DIGITS[(index >> (2 * (n - 1 - p))) & 3] for p in range(n))
+    )
 
 
 def evaluate_strategy(pattern: SignPattern, strategy: DeterministicStrategy) -> int:
-    """Polynomial value of a deterministic strategy, in pure integers."""
-    n = pattern.n_parties
-    total = 0
-    for word, coeff in enumerate(pattern.coeffs):
-        prod = 1
-        for p in range(n):
-            prod *= strategy.outcomes[p][(word >> (n - 1 - p)) & 1]
-        total += coeff * prod
-    return total
+    """Polynomial value of a deterministic strategy, in pure integers.
 
-
-# Outcomes of a party digit d (rows) for settings 0 and 1 (columns).
-_DIGIT_OUTCOMES = np.array([[1, 1], [1, -1], [-1, 1], [-1, -1]], dtype=np.int64)
+    With neg0 (neg1) marking, at bit N-1-p, the parties whose setting-0
+    (setting-1) outcome is -1, word w's outcome product is
+    (-1)^popcount(((full ^ w) & neg0) | (w & neg1)).  The two parts are
+    disjoint, so that is (-1)^popcount(neg0) (-1)^popcount(w & (neg0 ^ neg1)).
+    """
+    neg0 = neg1 = 0
+    for o0, o1 in strategy.outcomes:
+        neg0 = 2 * neg0 + (o0 < 0)
+        neg1 = 2 * neg1 + (o1 < 0)
+    flip = neg0 ^ neg1
+    total = sum(
+        -c if (w & flip).bit_count() & 1 else c for w, c in enumerate(pattern.coeffs)
+    )
+    return -total if neg0.bit_count() & 1 else total
 
 
 def check_lhv_parties(n_parties: int) -> None:
-    """Refuse a local enumeration above the party cap before any work."""
+    """Refuse a local bound above the party cap before any work."""
     if n_parties > LHV_MAX_PARTIES:
         raise CapExceededError(
-            f"local enumeration is capped at N = {LHV_MAX_PARTIES} "
+            f"the local bound is capped at N = {LHV_MAX_PARTIES} "
             f"(4^N strategies); hybrid_bound is capped at N = {HYBRID_MAX_PARTIES}"
         )
 
 
+def _two_term_form(pattern: SignPattern) -> tuple[int, int, int] | None:
+    """(a, b, neg) with coeffs[w] = Re[(a + ib) i^popcount(w) (-1)^popcount(w & neg)],
+    or None if the pattern is not in the two-term family.
+
+    That is the family's form with every c_p(0) folded into kappa = a + ib
+    and r_p = c_p(1)/c_p(0) = +-i, the bit N-1-p of neg set where r_p = -i.
+    Conjugating kappa and every r_p leaves the pattern unchanged, so r_0 = i
+    is fixed; the words 0 and 2^(N-1-p) then read off a, b and neg, and the
+    remaining words are checked in order up to the first mismatch.
+    """
+    n, coeffs = pattern.n_parties, pattern.coeffs
+    # The first four words of a family pattern are (a', -s b', -t b', -st a')
+    # for some a', b', s, t = +-1, so their product is -1; every two-party
+    # pattern outside the family fails this.
+    if coeffs[0] * coeffs[1] * coeffs[2] * coeffs[3] != -1:
+        return None
+    a, b = coeffs[0], -coeffs[1 << (n - 1)]
+    neg = 0
+    for p in range(1, n):
+        bit = 1 << (n - 1 - p)
+        if coeffs[bit] == b:
+            neg |= bit
+    # Re[(a + ib) i^j] for j = 0..3.
+    real_parts = (a, -b, -a, b)
+    for w, c in enumerate(coeffs):
+        if c != real_parts[(w.bit_count() + 2 * (w & neg).bit_count()) & 3]:
+            return None
+    return a, b, neg
+
+
+def _factored_argmax(n: int, a: int, b: int, neg: int) -> tuple[int, int]:
+    """(index, value) of the first maximizer of a two-term-family pattern.
+
+    Parties 0..N-2 take digit 0, whose factor is 1 + r_p; their product with
+    kappa is the Gaussian integer (x, y).  The last party's digit d then
+    picks the value Re[(x + iy)(o_0 + o_1 r)], and its smallest maximizing
+    digit is the first maximizer's index.
+    """
+    x, y = a, b
+    for p in range(n - 1):
+        s = -1 if (neg >> (n - 1 - p)) & 1 else 1
+        x, y = x - s * y, y + s * x  # (x + iy)(1 + i s)
+    s = -1 if neg & 1 else 1
+    # Re[(x + iy)(o_0 + i s o_1)] = x o_0 - s y o_1 per digit.
+    values = [x * o0 - s * y * o1 for o0, o1 in _DIGITS]
+    best = max(values)
+    return values.index(best), best
+
+
+def _enumerated_argmax(pattern: SignPattern) -> tuple[int, int]:
+    """(index, value) of the first maximizer over all 4^N strategy values."""
+    n = pattern.n_parties
+    coeffs = np.asarray(pattern.coeffs, dtype=np.int64)
+    values = correlation_sum(coeffs, [_DIGIT_OUTCOMES] * n).reshape(-1)
+    best_idx = int(values.argmax())
+    return best_idx, int(values[best_idx])
+
+
+def _lhv_result(pattern: SignPattern, index: int, value: int) -> BoundResult:
+    n = pattern.n_parties
+    strategy = _decode_strategy(n, index)
+    check = evaluate_strategy(pattern, strategy)
+    if check != value:  # pragma: no cover - internal consistency
+        raise RuntimeError(f"argmax re-evaluation {check} != bound {value}")
+    return BoundResult(bound=value, argmax_strategy=strategy, evaluations=4**n)
+
+
 def lhv_bound(pattern: SignPattern) -> BoundResult:
-    """Maximum over all 4^N deterministic local strategies."""
+    """Maximum over all 4^N deterministic local strategies: in closed form
+    on the two-term family, by enumeration otherwise."""
     n = pattern.n_parties
     check_lhv_parties(n)
-    coeffs = np.asarray(pattern.coeffs, dtype=np.int64)
-    values = correlation_sum(coeffs, [_DIGIT_OUTCOMES.T] * n).reshape(-1)
-    best_idx = int(np.argmax(values))
-    best_val = int(values[best_idx])
-    strategy = _decode_strategy(n, best_idx)
-    check = evaluate_strategy(pattern, strategy)
-    if check != best_val:  # pragma: no cover - internal consistency
-        raise RuntimeError(f"argmax re-evaluation {check} != bound {best_val}")
-    return BoundResult(bound=best_val, argmax_strategy=strategy, evaluations=4**n)
+    form = _two_term_form(pattern)
+    if form is None:
+        return _lhv_result(pattern, *_enumerated_argmax(pattern))
+    return _lhv_result(pattern, *_factored_argmax(n, *form))
 
 
 def _group_word(word: int, members: tuple[int, ...], n: int) -> int:

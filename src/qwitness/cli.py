@@ -24,6 +24,7 @@ import numpy as np
 
 from . import __version__
 from .classical import (
+    HYBRID_MAX_PARTIES,
     CapExceededError,
     check_lhv_parties,
     hybrid_bound,
@@ -232,7 +233,7 @@ def cmd_verify(cfg: dict) -> tuple[dict, int]:
 
 
 def cmd_bounds(cfg: dict) -> tuple[dict, int]:
-    """Classical, hybrid, and 4-cycle bounds by exhaustive enumeration."""
+    """Local, hybrid (N <= 4 only) and 4-cycle bounds of the Svetlichny pattern."""
     n = cfg["n_parties"]
     results: dict = {"n_parties": n}
     pattern = svetlichny_pattern(n)
@@ -241,9 +242,13 @@ def cmd_bounds(cfg: dict) -> tuple[dict, int]:
         results["hybrid"] = hybrid_bound(pattern).to_json_dict()
     else:
         results["hybrid"] = None
+        if n <= HYBRID_MAX_PARTIES:
+            where = "call qwitness.classical.hybrid_bound directly if needed"
+        else:
+            where = f"qwitness.classical.hybrid_bound is capped at N = {HYBRID_MAX_PARTIES}"
         results["hybrid_notice"] = (
             f"hybrid enumeration skipped for N = {n}: the response-function "
-            "space is large; call qwitness.classical.hybrid_bound directly if needed"
+            f"space is large; {where}"
         )
     results["noncontextual"] = noncontextual_bound().to_json_dict()
     return results, EXIT_OK

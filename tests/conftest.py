@@ -1,6 +1,7 @@
 """Shared test helpers: analytic optimal settings, random settings tables
-from numpy's Generator, random unitaries, random compatible 4-cycles, and
-small brute-force, kernel and see-saw oracles."""
+from numpy's Generator, random unitaries, random compatible 4-cycles,
+relabelled sign patterns, and small brute-force, kernel and see-saw
+oracles."""
 
 from __future__ import annotations
 
@@ -13,9 +14,11 @@ from qwitness.classical import (
     BoundResult,
     DeterministicStrategy,
     HybridStrategy,
-    evaluate_strategy,
+    _enumerated_argmax,
+    _lhv_result,
 )
 from qwitness.ineq import (
+    SignPattern,
     correlation_sum,
     cycle_from_settings,
     state_sum,
@@ -143,6 +146,42 @@ def random_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray:
     return (m + m.conj().T) / 2.0
 
 
+def relabelled(pattern, relabels) -> SignPattern:
+    """The pattern after per-party relabellings: ``relabels[p]`` is
+    (swap, flip0, flip1), swapping party p's two settings and then negating
+    every word where party p uses setting 0 (flip0) or setting 1 (flip1).
+    Each map is a bijection of the deterministic strategies, so the local
+    bound stays the same while the argmax moves."""
+    n = pattern.n_parties
+    coeffs = list(pattern.coeffs)
+    for p, (swap, flip0, flip1) in enumerate(relabels):
+        bit = 1 << (n - 1 - p)
+        if swap:
+            coeffs = [coeffs[w ^ bit] for w in range(2**n)]
+        if flip0 or flip1:
+            coeffs = [-c if (flip1 if w & bit else flip0) else c for w, c in enumerate(coeffs)]
+    return SignPattern(n, tuple(coeffs))
+
+
+def strategy_value_words(pattern, strategy) -> int:
+    """Polynomial value of a deterministic strategy, one word and one party
+    at a time: the definitional oracle for classical.evaluate_strategy."""
+    n = pattern.n_parties
+    total = 0
+    for word, coeff in enumerate(pattern.coeffs):
+        prod = 1
+        for p in range(n):
+            prod *= strategy.outcomes[p][(word >> (n - 1 - p)) & 1]
+        total += coeff * prod
+    return total
+
+
+def enumerated_lhv(pattern) -> BoundResult:
+    """lhv_bound's enumeration path, called directly on any pattern: the
+    oracle for its closed form where first_max_lhv is too slow."""
+    return _lhv_result(pattern, *_enumerated_argmax(pattern))
+
+
 def first_max_lhv(pattern) -> BoundResult:
     """Walk all deterministic strategies in lexicographic order (party 0
     first; per party the outcome pairs (1,1), (1,-1), (-1,1), (-1,-1)) and
@@ -152,7 +191,7 @@ def first_max_lhv(pattern) -> BoundResult:
     for outcomes in itertools.product(itertools.product((1, -1), repeat=2), repeat=n):
         count += 1
         strategy = DeterministicStrategy(outcomes)
-        value = evaluate_strategy(pattern, strategy)
+        value = strategy_value_words(pattern, strategy)
         if best is None or value > best[0]:
             best = (value, strategy)
     return BoundResult(bound=best[0], argmax_strategy=best[1], evaluations=count)

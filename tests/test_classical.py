@@ -1,9 +1,12 @@
+import itertools
+
 import numpy as np
 import pytest
 
-from conftest import first_max_hybrid, first_max_lhv
+from conftest import enumerated_lhv, first_max_hybrid, first_max_lhv, relabelled
 from qwitness.classical import (
     CapExceededError,
+    _two_term_form,
     evaluate_hybrid,
     evaluate_strategy,
     hybrid_bound,
@@ -129,6 +132,32 @@ class TestFirstMaximizer:
     def test_hybrid_matches_first_maximizer_oracle(self, n):
         pattern = svetlichny_pattern(n)
         assert hybrid_bound(pattern) == first_max_hybrid(pattern)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_flipped_svetlichny_takes_the_enumeration(self, n):
+        # One flipped sign leaves the two-term family, so the pattern goes
+        # through the enumeration and still gives the first maximizer.
+        pattern = svetlichny_pattern(n).flipped(2**n - 1)
+        assert _two_term_form(pattern) is None
+        assert lhv_bound(pattern) == first_max_lhv(pattern)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
+    def test_closed_form_on_every_relabelling(self, n):
+        # The orbit of the Svetlichny pattern under every party's eight
+        # relabellings (setting swap, then outcome flips) is the whole
+        # two-term family: 2^(N+1) patterns, 1016 over N = 2..8.  Each takes
+        # the closed form and equals the enumeration.
+        orbit = {svetlichny_pattern(n)}
+        for p in range(n):
+            orbit = {
+                relabelled(pattern, [bits if q == p else (False,) * 3 for q in range(n)])
+                for pattern in orbit
+                for bits in itertools.product((False, True), repeat=3)
+            }
+        assert len(orbit) == 2 ** (n + 1)
+        for pattern in orbit:
+            assert _two_term_form(pattern) is not None
+            assert lhv_bound(pattern) == enumerated_lhv(pattern)
 
     def test_tie_break_is_first_found(self):
         # All-plus pattern: many strategies tie; the lexicographically first

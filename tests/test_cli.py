@@ -7,9 +7,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import SQRT2, planar_settings, random_settings
+from conftest import SQRT2, enumerated_lhv, planar_settings, random_settings
 
 from qwitness import cli, dense, ineq, opalg, qobs, witness
+from qwitness.classical import HYBRID_MAX_PARTIES
+from qwitness.ineq import svetlichny_pattern
 
 
 def run_cli(capsys, argv):
@@ -128,6 +130,24 @@ class TestBounds:
         assert results["lhv"]["bound"] == 8
         assert results["hybrid"] is None
         assert "skipped" in results["hybrid_notice"]
+
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_hybrid_notice_names_what_to_call(self, capsys, n):
+        code, report, _ = run_cli(capsys, ["bounds", "--n", str(n)])
+        assert code == 0
+        notice = report["results"]["hybrid_notice"]
+        if n <= HYBRID_MAX_PARTIES:
+            assert "call qwitness.classical.hybrid_bound directly" in notice
+        else:
+            assert "directly" not in notice
+            assert f"hybrid_bound is capped at N = {HYBRID_MAX_PARTIES}" in notice
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
+    def test_lhv_block_is_the_enumeration(self, capsys, n):
+        code, report, _ = run_cli(capsys, ["bounds", "--n", str(n)])
+        assert code == 0
+        expected = enumerated_lhv(svetlichny_pattern(n)).to_json_dict()
+        assert report["results"]["lhv"] == expected
 
     def test_cap_exceeded(self, capsys):
         code, report, err = run_cli(capsys, ["bounds", "--n", "9"])

@@ -1,8 +1,10 @@
 """Property tests: every fast path equals its brute-force or dense oracle.
 
-Random +/-1 sign patterns and random measurement settings drive the map
-from Bloch vectors to 2x2 factors (qobs.pauli_factors), the
-mode-product kernel (ineq.correlation_sum) through the classical bounds, the
+Random +/-1 sign patterns, relabelled Svetlichny patterns and random
+measurement settings drive the map from Bloch vectors to 2x2 factors
+(qobs.pauli_factors), the mode-product kernel (ineq.correlation_sum)
+through the classical bounds (enumerated and closed-form), the popcount
+strategy evaluation against the word-by-word loop, the
 inequality operators and the see-saw optimizer's values and updates, the
 norm certificate for the witness pairs against dense eigenvalues, the
 factored identity residuals and state values against the dense
@@ -32,9 +34,12 @@ from hypothesis import strategies as st
 from conftest import (
     correlation_sum_tensordot,
     correlation_update_party,
+    enumerated_lhv,
     first_max_hybrid,
     first_max_lhv,
     pauli_correlation_tensor,
+    relabelled,
+    strategy_value_words,
 )
 from qwitness import cli
 from qwitness.classical import (
@@ -117,6 +122,24 @@ def sign_patterns(n):
     )
 
 
+def relabelled_patterns(n):
+    """The Svetlichny pattern under a per-party setting swap and two outcome
+    flips, one bit each."""
+    bits = st.tuples(st.booleans(), st.booleans(), st.booleans())
+    return st.lists(bits, min_size=n, max_size=n).map(
+        lambda relabels: relabelled(svetlichny_pattern(n), relabels)
+    )
+
+
+outcome_pairs = st.tuples(st.sampled_from((1, -1)), st.sampled_from((1, -1)))
+
+
+def deterministic_strategies(n):
+    return st.lists(outcome_pairs, min_size=n, max_size=n).map(
+        lambda outcomes: DeterministicStrategy(tuple(outcomes))
+    )
+
+
 sphere_angles = st.tuples(st.floats(0.0, math.pi), st.floats(0.0, 2.0 * math.pi))
 unit_vectors = sphere_angles.map(lambda a: BlochVector.from_angles(*a))
 
@@ -138,16 +161,32 @@ def test_kernel_lhv_values_equal_every_strategy(n, data):
     values = correlation_sum(np.array(pattern.coeffs), [table] * n).reshape(-1)
     # itertools.product walks the strategies in ascending index order.
     strategies = itertools.product(itertools.product((1, -1), repeat=2), repeat=n)
-    expected = [evaluate_strategy(pattern, DeterministicStrategy(o)) for o in strategies]
+    expected = [strategy_value_words(pattern, DeterministicStrategy(o)) for o in strategies]
     assert values.tolist() == expected
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
+@bounded(20)
+@given(data=st.data())
+def test_evaluate_strategy_equals_the_word_loop(n, data):
+    pattern = data.draw(sign_patterns(n))
+    strategy = data.draw(deterministic_strategies(n))
+    assert evaluate_strategy(pattern, strategy) == strategy_value_words(pattern, strategy)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
 @bounded(10)
 @given(data=st.data())
 def test_lhv_bound_is_the_first_maximizer(n, data):
-    pattern = data.draw(sign_patterns(n))
-    assert lhv_bound(pattern) == first_max_lhv(pattern)
+    # Relabelled patterns take the closed form, random ones the enumeration.
+    # Above N = 5 the brute-force walk is too slow, and the enumeration,
+    # called directly, is the oracle.
+    if n <= 5:
+        pattern = data.draw(sign_patterns(n))
+        assert lhv_bound(pattern) == first_max_lhv(pattern)
+    family = data.draw(relabelled_patterns(n))
+    oracle = first_max_lhv if n <= 5 else enumerated_lhv
+    assert lhv_bound(family) == oracle(family)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])

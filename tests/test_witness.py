@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import SQRT2, planar_settings, random_settings
+from conftest import SQRT2, planar_settings, random_settings, relabelled
 
 from qwitness import dense
 from qwitness.dense import (
@@ -16,7 +16,6 @@ from qwitness.dense import (
 )
 from qwitness.ineq import (
     PartyFactors,
-    SignPattern,
     chsh_operator,
     svetlichny_operator,
     svetlichny_pattern,
@@ -230,7 +229,12 @@ class TestEvaluateWitness:
         monkeypatch.setattr(FactoredIdentities, "defect_trace", refuse)
         rng = np.random.default_rng(58)
         for n in (3, 4, 5):
-            pattern = relabelled_svetlichny(n)
+            # Party 0's settings swapped and its setting-1 outcome flipped.
+            # Party 0 is a fixed party of every element, so the pattern
+            # stays CHSH-type, but its signs differ.
+            pattern = relabelled(
+                svetlichny_pattern(n), [(True, False, True)] + [(False, False, False)] * (n - 1)
+            )
             assert pattern != svetlichny_pattern(n)
             table = random_settings(n, rng)
             assert factored_identities(PartyFactors.from_settings(table), pattern).differences is None
@@ -248,16 +252,6 @@ class TestEvaluateWitness:
         assert data["n_parties"] == 3
         assert data["negative"] is True
         assert set(data["identity_residuals"]) == {"element_xi0", "element_xi1", "total"}
-
-
-def relabelled_svetlichny(n):
-    """The Svetlichny pattern with party 0's two settings swapped and its
-    setting-1 outcome flipped.  Party 0 is a fixed party of every element,
-    so the pattern stays CHSH-type, but its signs differ."""
-    shift = n - 1
-    coeffs = svetlichny_pattern(n).coeffs
-    swapped = [coeffs[w ^ (1 << shift)] for w in range(2**n)]
-    return SignPattern(n, tuple(-c if (w >> shift) & 1 else c for w, c in enumerate(swapped)))
 
 
 def pauli_settings(n):

@@ -46,7 +46,19 @@ How the maxima are found:
   scores ||C^T r||_1 (or ||C r||_1), and its smallest index puts a -1
   exactly where that product is negative.  When group B is the enumerated
   side the tie-break still takes the smallest f_a first, then the smallest
-  f_b.  ``evaluations`` counts the 2^(2^|A|) * 2^(2^|B|) response pairs
+  f_b.  Reply indices are Python ints, exact at any group size.
+* On the two-term family hybrid_bound evaluates mask 1 (group A = {0})
+  alone.  A hybrid strategy scores Re[kappa a_A a_B] with
+  a_G = sum_u R_G(u) prod_{p in G} r_p^(u_p) and r_p = +-i; words of even
+  popcount add +-1 to a_G and words of odd popcount +-i, 2^(m-1) of each,
+  so a_A = x + iy with |x|, |y| <= 2^(|A|-1).  Group B's best reply scores
+  2^(|B|-1) (|Re kappa a_A| + |Im kappa a_A|) = 2^(|B|-1) 2 max(|x|, |y|)
+  <= 2^(N-1), the Svetlichny right-hand side (Svetlichny, PRD 35, 3066,
+  1987), and A = {0} reaches it with |x| = |y| = 1.  Masks are tried in
+  ascending order, so mask 1 is the first maximizing mask, and its own
+  tie-break gives (f_a, f_b).  Every other pattern loops over all
+  2^(N-1) - 1 bipartitions.  On both paths ``evaluations`` counts the
+  2^(2^|A|) * 2^(2^|B|) response pairs of every bipartition, the space
   the maximum ranges over.
 """
 
@@ -251,35 +263,40 @@ def _response_matrix(m: int) -> np.ndarray:
     return 1 - 2 * ((f >> u) & 1)
 
 
-def _best_replies(products: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per row of ``products``, the best reply's value and its smallest index.
-
-    Row k holds the correlation matrix contracted with one response of the
-    enumerated group; the other group scores sum_u products[k, u] * r(u),
-    maximized at ||products[k]||_1.  The smallest maximizing index sets the
-    -1 bit exactly where the product is negative.
-    """
-    values = np.abs(products).sum(axis=1)
-    bits = np.int64(1) << np.arange(products.shape[1], dtype=np.int64)
-    replies = ((products < 0) * bits).sum(axis=1)
-    return values, replies
+def _reply_indices(negative: np.ndarray) -> list[int]:
+    """Per row of a boolean matrix, the reply index with bit u set exactly
+    where column u is True.  Indices are Python ints, exact at any width,
+    where an int64 would wrap past 63 columns."""
+    packed = np.packbits(negative, axis=1, bitorder="little")
+    width, data = packed.shape[1], packed.tobytes()
+    return [int.from_bytes(data[i : i + width], "little") for i in range(0, len(data), width)]
 
 
 def _hybrid_mask_best(tensor: np.ndarray, n: int, mask: int) -> tuple[int, int, int]:
-    """First maximizer (value, f_a, f_b) for one bipartition mask."""
+    """First maximizer (value, f_a, f_b) for one bipartition mask.
+
+    Each row k of ``products`` holds the correlation matrix contracted with
+    one response of the enumerated (smaller) group; the other group scores
+    sum_u products[k, u] * r(u), maximized at ||products[k]||_1, and its
+    smallest maximizing index sets the -1 bit exactly where the product is
+    negative.  Only the replies the tie-break reads are encoded.
+    """
     members_a = tuple(p for p in range(n) if (mask >> p) & 1)
     members_b = tuple(p for p in range(n) if not (mask >> p) & 1)
     ma, mb = len(members_a), len(members_b)
     corr = tensor.transpose(members_a + members_b).reshape(2**ma, 2**mb)
     if ma <= mb:
-        values, replies = _best_replies(_response_matrix(ma) @ corr)
-        fa = int(np.argmax(values))
-        return int(values[fa]), fa, int(replies[fa])
-    values, replies = _best_replies(_response_matrix(mb) @ corr.T)
+        products = _response_matrix(ma) @ corr
+        values = np.abs(products).sum(axis=1)
+        fa = int(values.argmax())
+        return int(values[fa]), fa, _reply_indices(products[fa : fa + 1] < 0)[0]
+    products = _response_matrix(mb) @ corr.T
+    values = np.abs(products).sum(axis=1)
     tied = np.flatnonzero(values == values.max())
     # Smallest f_a first, then the smallest f_b reaching it.
-    fb = int(tied[np.argmin(replies[tied])])
-    return int(values[fb]), int(replies[fb]), fb
+    replies = _reply_indices(products[tied] < 0)
+    fa = min(replies)
+    return int(values[tied[0]]), fa, int(tied[replies.index(fa)])
 
 
 def evaluate_hybrid(pattern: SignPattern, strategy: HybridStrategy) -> int:
@@ -293,8 +310,42 @@ def evaluate_hybrid(pattern: SignPattern, strategy: HybridStrategy) -> int:
     return total
 
 
+def _enumerated_hybrid(pattern: SignPattern) -> tuple[int, int, int, int]:
+    """(value, mask, f_a, f_b) of the first maximizer over all bipartitions."""
+    n = pattern.n_parties
+    tensor = np.asarray(pattern.coeffs, dtype=np.int64).reshape((2,) * n)
+    best = None
+    # Odd masks put party 0 in group A; ascending order is the tie-break.
+    for mask in range(1, 2**n - 1, 2):
+        val, fa, fb = _hybrid_mask_best(tensor, n, mask)
+        if best is None or val > best[0]:
+            best = (val, mask, fa, fb)
+    return best
+
+
+def _hybrid_result(pattern: SignPattern, value: int, mask: int, fa: int, fb: int) -> BoundResult:
+    n = pattern.n_parties
+    members_a = tuple(p for p in range(n) if (mask >> p) & 1)
+    members_b = tuple(p for p in range(n) if not (mask >> p) & 1)
+    strategy = HybridStrategy(
+        grouping=Grouping(members_a, members_b),
+        response_a=tuple(1 - 2 * ((fa >> u) & 1) for u in range(2 ** len(members_a))),
+        response_b=tuple(1 - 2 * ((fb >> u) & 1) for u in range(2 ** len(members_b))),
+    )
+    check = evaluate_hybrid(pattern, strategy)
+    if check != value:  # pragma: no cover - internal consistency
+        raise RuntimeError(f"argmax re-evaluation {check} != bound {value}")
+    evaluations = sum(
+        2 ** (2**ma + 2 ** (n - ma))
+        for ma in (mask.bit_count() for mask in range(1, 2**n - 1, 2))
+    )
+    return BoundResult(bound=value, argmax_strategy=strategy, evaluations=evaluations)
+
+
 def hybrid_bound(pattern: SignPattern) -> BoundResult:
-    """Maximum over all bipartitions and deterministic group responses.
+    """Maximum over all bipartitions and deterministic group responses: from
+    the bipartition {party 0} | rest on the two-term family, by enumeration
+    otherwise.
 
     Inside each group the response may depend on the group's full joint
     setting word, which models arbitrary correlations within the group;
@@ -306,28 +357,13 @@ def hybrid_bound(pattern: SignPattern) -> BoundResult:
             f"hybrid enumeration is capped at N = {HYBRID_MAX_PARTIES} "
             f"(2^(2^m) response functions per group)"
         )
+    if _two_term_form(pattern) is None:
+        return _hybrid_result(pattern, *_enumerated_hybrid(pattern))
     tensor = np.asarray(pattern.coeffs, dtype=np.int64).reshape((2,) * n)
-    best = None  # (value, mask, fa, fb)
-    evaluations = 0
-    # Odd masks put party 0 in group A; ascending order is the tie-break.
-    for mask in range(1, 2**n - 1, 2):
-        ma = mask.bit_count()
-        evaluations += 2 ** (2**ma) * 2 ** (2 ** (n - ma))
-        val, fa, fb = _hybrid_mask_best(tensor, n, mask)
-        if best is None or val > best[0]:
-            best = (val, mask, fa, fb)
-    val, mask, fa, fb = best
-    members_a = tuple(p for p in range(n) if (mask >> p) & 1)
-    members_b = tuple(p for p in range(n) if not (mask >> p) & 1)
-    strategy = HybridStrategy(
-        grouping=Grouping(members_a, members_b),
-        response_a=tuple(1 - 2 * ((fa >> u) & 1) for u in range(2 ** len(members_a))),
-        response_b=tuple(1 - 2 * ((fb >> u) & 1) for u in range(2 ** len(members_b))),
-    )
-    check = evaluate_hybrid(pattern, strategy)
-    if check != val:  # pragma: no cover - internal consistency
-        raise RuntimeError(f"argmax re-evaluation {check} != bound {val}")
-    return BoundResult(bound=val, argmax_strategy=strategy, evaluations=evaluations)
+    value, fa, fb = _hybrid_mask_best(tensor, n, 1)
+    if value != 2 ** (n - 1):  # pragma: no cover - internal consistency
+        raise RuntimeError(f"two-term pattern scores {value} != 2^(N-1) on mask 1")
+    return _hybrid_result(pattern, value, 1, fa, fb)
 
 
 def noncontextual_bound() -> BoundResult:

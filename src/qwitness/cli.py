@@ -195,11 +195,8 @@ def cmd_verify(cfg: dict) -> tuple[dict, int]:
         raise ConfigError("verify needs a settings table or --random K")
 
     pattern = svetlichny_pattern(n)
-    corrupt = cfg.get("corrupt_sign")
-    if corrupt is not None:
-        if not 0 <= corrupt < 2**n:
-            raise ConfigError(f"corrupt-sign index {corrupt} out of range")
-        pattern = pattern.flipped(corrupt)
+    if cfg.get("corrupt_sign") is not None:
+        pattern = pattern.flipped(cfg["corrupt_sign"])
 
     # The CHSH and cycle identities are exact; the Svetlichny ones carry
     # roundoff that grows with the dimension.
@@ -447,6 +444,11 @@ def _merge_config(args: argparse.Namespace) -> dict:
         if cfg["n_parties"] < 2:
             raise ConfigError(f"{cfg['command']} needs at least two parties")
         command.check_parties(cfg["n_parties"])
+    corrupt = cfg.get("corrupt_sign")
+    # After the party cap, so 2^N stays small.
+    if "corrupt_sign" in integers and corrupt is not None:
+        if not 0 <= corrupt < 2 ** cfg["n_parties"]:
+            raise ConfigError(f"corrupt-sign index {corrupt} out of range")
     return cfg
 
 

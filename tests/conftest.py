@@ -15,6 +15,8 @@ from qwitness.classical import (
     DeterministicStrategy,
     HybridStrategy,
     _enumerated_argmax,
+    _enumerated_hybrid,
+    _hybrid_result,
     _lhv_result,
 )
 from qwitness.ineq import (
@@ -180,6 +182,13 @@ def enumerated_lhv(pattern) -> BoundResult:
     """lhv_bound's enumeration path, called directly on any pattern: the
     oracle for its closed form where first_max_lhv is too slow."""
     return _lhv_result(pattern, *_enumerated_argmax(pattern))
+
+
+def enumerated_hybrid(pattern) -> BoundResult:
+    """hybrid_bound's loop over every bipartition, called directly on any
+    pattern: the oracle for its one-bipartition path where first_max_hybrid
+    is too slow."""
+    return _hybrid_result(pattern, *_enumerated_hybrid(pattern))
 
 
 def first_max_lhv(pattern) -> BoundResult:

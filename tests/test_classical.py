@@ -3,9 +3,11 @@ import itertools
 import numpy as np
 import pytest
 
-from conftest import enumerated_lhv, first_max_hybrid, first_max_lhv, relabelled
+from conftest import enumerated_hybrid, enumerated_lhv, first_max_hybrid, first_max_lhv, relabelled
+from qwitness import classical
 from qwitness.classical import (
     CapExceededError,
+    _reply_indices,
     _two_term_form,
     evaluate_hybrid,
     evaluate_strategy,
@@ -18,6 +20,20 @@ from qwitness.ineq import SignPattern, chsh_pattern, svetlichny_pattern
 
 def random_pattern(n, rng):
     return SignPattern(n, tuple(int(c) for c in rng.choice([-1, 1], size=2**n)))
+
+
+def two_term_orbit(n):
+    """The orbit of the Svetlichny pattern under every party's eight
+    relabellings (setting swap, then outcome flips): the whole two-term
+    family, 2^(N+1) patterns."""
+    orbit = {svetlichny_pattern(n)}
+    for p in range(n):
+        orbit = {
+            relabelled(pattern, [bits if q == p else (False,) * 3 for q in range(n)])
+            for pattern in orbit
+            for bits in itertools.product((False, True), repeat=3)
+        }
+    return orbit
 
 
 class TestLhvBound:
@@ -95,6 +111,17 @@ class TestHybridBound:
         with pytest.raises(CapExceededError, match="capped"):
             hybrid_bound(svetlichny_pattern(6))
 
+    @pytest.mark.parametrize("columns", [1, 8, 63, 64, 128])
+    def test_reply_indices_are_exact(self, columns):
+        # Past 63 columns an int64 bit mask would wrap.
+        rng = np.random.default_rng(columns)
+        negative = rng.random((8, columns)) < 0.5
+        negative[0] = True
+        replies = _reply_indices(negative)
+        assert replies[0] == 2**columns - 1
+        for row, reply in zip(negative.tolist(), replies):
+            assert reply == sum(1 << u for u, neg in enumerate(row) if neg)
+
 
 class TestRelabelingSymmetry:
     @staticmethod
@@ -140,24 +167,44 @@ class TestFirstMaximizer:
         pattern = svetlichny_pattern(n).flipped(2**n - 1)
         assert _two_term_form(pattern) is None
         assert lhv_bound(pattern) == first_max_lhv(pattern)
+        if n <= 4:
+            assert hybrid_bound(pattern) == first_max_hybrid(pattern)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
     def test_closed_form_on_every_relabelling(self, n):
-        # The orbit of the Svetlichny pattern under every party's eight
-        # relabellings (setting swap, then outcome flips) is the whole
-        # two-term family: 2^(N+1) patterns, 1016 over N = 2..8.  Each takes
-        # the closed form and equals the enumeration.
-        orbit = {svetlichny_pattern(n)}
-        for p in range(n):
-            orbit = {
-                relabelled(pattern, [bits if q == p else (False,) * 3 for q in range(n)])
-                for pattern in orbit
-                for bits in itertools.product((False, True), repeat=3)
-            }
+        # 1016 patterns over N = 2..8.  Each takes the closed form and
+        # equals the enumeration.
+        orbit = two_term_orbit(n)
         assert len(orbit) == 2 ** (n + 1)
         for pattern in orbit:
             assert _two_term_form(pattern) is not None
             assert lhv_bound(pattern) == enumerated_lhv(pattern)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_one_bipartition_on_every_relabelling(self, n):
+        # 120 patterns over N = 2..5.  Each reads its hybrid bound off the
+        # bipartition {0} | rest and equals the loop over every bipartition:
+        # bound, evaluations and first maximizer.
+        for pattern in two_term_orbit(n):
+            result = hybrid_bound(pattern)
+            assert result.bound == 2 ** (n - 1)
+            assert result == enumerated_hybrid(pattern)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_hybrid_bipartitions_evaluated(self, n, monkeypatch):
+        masks = []
+        mask_best = classical._hybrid_mask_best
+
+        def counting(tensor, n_parties, mask):
+            masks.append(mask)
+            return mask_best(tensor, n_parties, mask)
+
+        monkeypatch.setattr(classical, "_hybrid_mask_best", counting)
+        hybrid_bound(relabelled(svetlichny_pattern(n), [(True, True, False)] * n))
+        assert masks == [1]
+        masks.clear()
+        hybrid_bound(svetlichny_pattern(n).flipped(2**n - 1))
+        assert masks == list(range(1, 2**n - 1, 2))
 
     def test_tie_break_is_first_found(self):
         # All-plus pattern: many strategies tie; the lexicographically first

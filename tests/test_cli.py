@@ -77,6 +77,13 @@ class TestVerify:
         assert report is None
         assert "corrupt-sign index 8 out of range" in err
 
+    @pytest.mark.parametrize("index", [-1, 8])
+    def test_corrupt_sign_checked_with_the_config(self, index):
+        # Before verify asks for a settings table or --random K.
+        args = cli._parser().parse_args(["verify", "--n", "3", "--corrupt-sign", str(index)])
+        with pytest.raises(cli.ConfigError, match=f"corrupt-sign index {index} out of range"):
+            cli._merge_config(args)
+
     def test_random_tables_do_not_accumulate(self):
         def peak(k):
             tracemalloc.start()
@@ -546,8 +553,12 @@ class TestIntegerFields:
 
     @pytest.mark.parametrize(
         "payload, argv",
-        [({"n_parties": "x"}, ["contextuality"]), ({"random_trials": 0}, ["bounds", "--n", "3"])],
-        ids=["n_parties-contextuality", "random_trials-bounds"],
+        [
+            ({"n_parties": "x"}, ["contextuality"]),
+            ({"random_trials": 0}, ["bounds", "--n", "3"]),
+            ({"corrupt_sign": 99}, ["bounds", "--n", "3"]),
+        ],
+        ids=["n_parties-contextuality", "random_trials-bounds", "corrupt_sign-bounds"],
     )
     def test_fields_a_command_does_not_read_are_not_checked(self, capsys, tmp_path, payload, argv):
         cfg = write_config(tmp_path, payload)

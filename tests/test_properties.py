@@ -193,8 +193,12 @@ def test_lhv_bound_is_the_first_maximizer(n, data):
 @bounded(10)
 @given(data=st.data())
 def test_hybrid_bound_is_the_first_maximizer(n, data):
+    # Random patterns loop over every bipartition, relabelled ones read the
+    # bipartition {0} | rest alone.
     pattern = data.draw(sign_patterns(n))
     assert hybrid_bound(pattern) == first_max_hybrid(pattern)
+    family = data.draw(relabelled_patterns(n))
+    assert hybrid_bound(family) == first_max_hybrid(family)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])

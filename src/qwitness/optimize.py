@@ -10,29 +10,26 @@ from a fixed linear congruential generator so identical seeds reproduce
 identical runs on any platform.
 
 The state-free objective is the largest eigenvalue of the inequality
-operator (its optimal state is the matching eigenvector): each sweep runs
-on the current top eigenvector, which cannot lower the eigenvalue.  A
-state-bound variant maximizes the expectation on a fixed state.  Only the
-environments depend on the state: leave-one-out products of a structured
-state's product-sum form (qobs.NoisyGhz, qobs.ProductState), partial
-products of the eigenvector, and the Pauli correlation tensor of a matrix.
+operator, in closed form: its top eigenvector is GHZ under local rotations
+(_ghz_frame).  Each sweep runs on that eigenvector, which cannot lower the
+eigenvalue, so only the final oracle check builds a 2^N array or solves for
+eigenvalues.  A state-bound variant maximizes the expectation on a fixed
+state.  Only the environments depend on the state: leave-one-out products
+of a structured state's product-sum form (qobs.NoisyGhz, qobs.ProductState;
+GHZ at rotated settings for the eigenvector), and the Pauli correlation
+tensor of a matrix.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .ineq import (
-    InequalityOperator,
-    operator_sum,
-    state_sum,
-    svetlichny_operator,
-    svetlichny_pattern,
-)
+from .ineq import InequalityOperator, state_sum, svetlichny_operator
 from .opalg import check_eig_parties, hermitian_eigenvalues
 from .qobs import (
     PAULI_TRACES,
@@ -42,7 +39,6 @@ from .qobs import (
     ProductState,
     SettingsTable,
     expectation,
-    pauli_factors,
 )
 
 SWEEP_IMPROVEMENT_TOL = 1e-10
@@ -230,37 +226,6 @@ def _tensor_environments(corr: np.ndarray):
     return environments
 
 
-def _split(psi: np.ndarray, party: int) -> np.ndarray:
-    """A 2^N vector as (parties before, party, parties after)."""
-    return psi.reshape(2**party, 2, -1)
-
-
-def _vector_environments(psi: np.ndarray):
-    """Environments on the pure state psi, e_k = <L| sigma_k |R> at party p,
-    with L = (x)_{q<p} G_q^dagger psi over the moved parties and
-    R = (x)_{q>p} G_q psi over the rest.  The R of every party come from one
-    backward pass and L takes one factor per party, so a sweep costs
-    O(N 2^N), with no density matrix and no 3^N tensor."""
-    n = psi.size.bit_length() - 1
-
-    def environments(bloch):
-        factors = pauli_factors(_z(bloch))
-        right = [psi] * n
-        for p in range(n - 1, 0, -1):
-            right[p - 1] = (factors[p] @ _split(right[p], p)).reshape(-1)
-        left = psi
-        for p in range(n):
-            if p:
-                moved = pauli_factors(_z(bloch[p - 1])).conj().T
-                left = (moved @ _split(left, p - 1)).reshape(-1)
-            # C[b, a] = sum over the other parties of conj(L[.., a, ..]) R[.., b, ..],
-            # and e_k = sum_ab sigma_k[a, b] C[b, a] = tr(sigma_k C).
-            c = np.einsum("iaj,ibj->ba", _split(left, p).conj(), _split(right[p], p))
-            yield c.reshape(4) @ PAULI_TRACES[:, 1:]
-
-    return environments
-
-
 def _see_saw(value: float, bloch: np.ndarray, step, max_sweeps: int):
     """Repeat ``step`` (settings -> (value, settings)) from a start of known
     value.  A sweep is accepted only if the value did not fall, which guards
@@ -295,24 +260,71 @@ def _expectation_see_saw(start: np.ndarray, environments, max_sweeps: int):
     )
 
 
-def _top_eigenpair(coeffs: np.ndarray, bloch: np.ndarray) -> tuple[float, np.ndarray]:
-    values, vectors = np.linalg.eigh(operator_sum(coeffs, pauli_factors(bloch)))
-    return float(values[-1]), vectors[:, -1]
+def _cross(a, b):
+    return [a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0]]
+
+
+def _ghz_frame(bloch: np.ndarray) -> tuple[float, np.ndarray]:
+    """Largest eigenvalue of the Svetlichny operator, and rotations rot of
+    shape (N, 3, 3) that take its eigenvector to GHZ: on the eigenvector,
+    the value at settings n_pk is the GHZ value at rot[p] @ n_pk.
+
+    In the right-handed frame (n_p0, e_2, n_p0 x e_2), with e_2 along n_p1's
+    part orthogonal to n_p0, n_p1 = (cos t_p, sin t_p, 0) with 0 <= t_p <= pi,
+    and G_p |x_p> = (1 + i e^{i s_p t_p}) |1 - x_p> for s_p = (-1)^x_p.  So
+    the operator is block-diagonal on {|x>, |x bar>} with eigenvalues +-|c_x|
+    (Werner & Wolf, PRA 64, 032112, 2001), where 2 c_x =
+    (1 - i) prod_p (1 + i e^{i s_p t_p}) + (1 + i) prod_p (1 - i e^{i s_p t_p}).
+    The factors are a_p e^{i(s_p t_p/2 + pi/4)} and b_p e^{i(s_p t_p/2 - pi/4)}
+    with a_p = 2 cos(t_p/2 + pi/4) and b_p = 2 cos(t_p/2 - pi/4) >= |a_p|,
+    swapped where x_p = 1.  With P, P' the products of a, b over the parties
+    with x_p = 0 and Q, Q' over the rest, 2 |c_x|^2 is P^2 Q'^2 + P'^2 Q^2 at
+    even N and (PQ' +- P'Q)^2 at odd N, which falls short of its value with
+    Q and Q' exchanged, x = 0, by (P'^2 - P^2)(Q'^2 - Q^2) >= 0.  So
+    lambda_max = |c_0|, and a turn by -arg c_0 about party 0's third axis
+    takes its eigenvector (|0...0> + e^{i arg c_0} |1...1>)/sqrt(2) to GHZ.
+    """
+    frames = []
+    plus = minus = 1.0 + 0.0j
+    for n0, n1 in bloch.tolist():
+        # e_2 = (n0 x n1) x n0 is orthogonal to n0 to rounding even for nearly
+        # parallel directions.  If n0 x n1 is far from orthogonal to n0, it is
+        # rounding noise of parallel ones, and any plane through n0 will do.
+        normal = _cross(n0, n1)
+        e2 = _cross(normal, n0)
+        if not math.hypot(*e2) > 0.5 * math.hypot(*normal):
+            axis = [0.0, 0.0, 1.0] if abs(n0[2]) < 0.5 else [1.0, 0.0, 0.0]
+            e2 = _cross(_cross(n0, axis), n0)
+        norm = math.hypot(*e2)
+        e2 = [x / norm for x in e2]
+        frames.append([n0, e2, _cross(n0, e2)])
+        e_it = complex(sum(a * b for a, b in zip(n0, n1)), sum(a * b for a, b in zip(e2, n1)))
+        plus *= 1.0 + 1.0j * e_it
+        minus *= 1.0 - 1.0j * e_it
+    c = ((1.0 - 1.0j) * plus + (1.0 + 1.0j) * minus) / 2.0
+    rot = np.array(frames)
+    # Party 0's turn by -arg c takes n_0 + i e_2 to e^{-i arg c} (n_0 + i e_2).
+    turned = cmath.exp(-1j * cmath.phase(c)) * (rot[0, 0] + 1j * rot[0, 1])
+    rot[0, :2] = turned.real, turned.imag
+    return abs(c), rot
 
 
 def _violation_see_saw(start: np.ndarray, max_sweeps: int):
     """See-saw on the largest eigenvalue.  Each sweep runs on the current top
     eigenvector psi, so lambda_max(S') >= <psi|S'|psi> >= <psi|S|psi> =
-    lambda_max(S)."""
-    coeffs = np.array(svetlichny_pattern(len(start)).coeffs, dtype=np.float64)
-    value, psi = _top_eigenpair(coeffs, start)
+    lambda_max(S).  psi is GHZ under the rotations of _ghz_frame, so the
+    sweep reads GHZ environments at the rotated settings and turns its
+    result back."""
+    ghz = _structured_environments(NoisyGhz(len(start)))
+    value, rot = _ghz_frame(start)
 
     def step(bloch):
-        nonlocal psi
-        _, new = _sweep(_vector_environments(psi), bloch)
-        # A rejected sweep ends the run, so psi may always move to the new
-        # settings' eigenvector.
-        new_value, psi = _top_eigenpair(coeffs, new)
+        nonlocal rot
+        _, new = _sweep(ghz, bloch @ rot.swapaxes(1, 2))
+        new = new @ rot
+        # A rejected sweep ends the run, so the frame may always move to
+        # the new settings.
+        new_value, rot = _ghz_frame(new)
         return new_value, new
 
     return _see_saw(value, start, step, max_sweeps)

@@ -9,9 +9,11 @@ from qwitness import optimize
 from qwitness.ineq import chsh_operator, chsh_optimal_settings, svetlichny_operator
 from qwitness.optimize import (
     Lcg64,
+    ORACLE_CHECK_TOL,
     OptimizationConfig,
     _correlation_tensor,
     _expectation_see_saw,
+    _ghz_frame,
     _structured_environments,
     _tensor_environments,
     _violation_see_saw,
@@ -132,6 +134,42 @@ class TestMaximizeViolation:
         assert len(data["settings"]["parties"]) == 2
         assert data["history"][0][0] == 0
 
+    @pytest.mark.parametrize("n", [5, 6, 7, 8])
+    def test_default_config_reaches_the_quantum_maximum(self, n):
+        result = maximize_violation(n, "svetlichny")
+        assert abs(result.best_value - 2.0 ** (n - 1) * SQRT2) < 1e-6
+
+
+class TestGhzFrame:
+    """The closed-form spectrum where a party's two directions span no
+    plane, or barely one."""
+
+    @staticmethod
+    def table(second):
+        """Party 0 pairs a direction with ``second(first)``; the others are
+        planar."""
+        first = np.array([0.6, 0.0, 0.8])
+        bloch = planar_settings(3).bloch.copy()
+        bloch[0] = [first, second(first)]
+        return bloch
+
+    @pytest.mark.parametrize(
+        "second",
+        [
+            lambda n: n,
+            lambda n: -n,
+            lambda n: n + 1e-9 * np.array([0.8, 0.0, -0.6]),
+        ],
+        ids=["parallel", "antiparallel", "1e-9 apart"],
+    )
+    def test_degenerate_plane(self, second):
+        bloch = self.table(second)
+        value, rot = _ghz_frame(bloch)
+        check = max_eigenvalue(svetlichny_operator(SettingsTable.from_bloch(bloch)))
+        assert abs(value - check) <= ORACLE_CHECK_TOL
+        for r in rot:
+            assert np.max(np.abs(r @ r.T - np.eye(3))) <= 1e-15
+
 
 class TestRestartChoice:
     @staticmethod
@@ -240,6 +278,20 @@ class TestNoCorrelationTensor:
     def test_density_matrix_reaches_it(self, refuse_tensor):
         with pytest.raises(AssertionError, match="correlation tensor built"):
             maximize_expectation(3, "svetlichny", ghz_state(3), SMALL)
+
+
+class TestNoEigensolveInTheAscent:
+    def test_only_the_oracle_solves(self, monkeypatch):
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].shape)
+            return eigh(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting)
+        maximize_violation(4, "svetlichny", OptimizationConfig(restarts=3))
+        assert calls == [(16, 16)]
 
 
 class TestViolationThreshold:

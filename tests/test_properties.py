@@ -5,7 +5,8 @@ measurement settings drive the map from Bloch vectors to 2x2 factors
 (qobs.pauli_factors), the mode-product kernel (ineq.correlation_sum)
 through the classical bounds (enumerated and closed-form), the popcount
 strategy evaluation against the word-by-word loop, the
-inequality operators and the see-saw optimizer's values and updates, the
+inequality operators, the closed-form Svetlichny spectrum and its GHZ frame
+against dense eigenpairs, the see-saw optimizer's values and updates, the
 norm certificate for the witness pairs against dense eigenvalues, the
 factored identity residuals and state values against the dense
 anticommutators and expectations, the structured states' trace products
@@ -38,6 +39,7 @@ from conftest import (
     first_max_hybrid,
     first_max_lhv,
     pauli_correlation_tensor,
+    planar_settings,
     relabelled,
     strategy_value_words,
 )
@@ -71,19 +73,21 @@ from qwitness.ineq import (
 )
 from qwitness.opalg import anticommutator, frob_distance, hermitian_eigenvalues, is_psd
 from qwitness.optimize import (
+    ORACLE_CHECK_TOL,
     _correlation_tensor,
+    _ghz_frame,
     _set_party,
     _structured_environments,
     _svetlichny_value,
     _sweep,
     _tensor_environments,
-    _top_eigenpair,
-    _vector_environments,
+    max_eigenvalue,
 )
 from qwitness.qobs import (
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
+    PAULIS,
     IDENTITY_2,
     BlochVector,
     Grouping,
@@ -286,15 +290,50 @@ def environments_of(state):
     return _structured_environments(state)
 
 
-def top_eigenvector(table):
-    coeffs = np.array(svetlichny_pattern(table.n_parties).coeffs, dtype=np.float64)
-    return _top_eigenpair(coeffs, table.bloch)[1]
+def su2_of(rotation):
+    """An SU(2) matrix U with U sigma_k U^dagger = sum_j R[j, k] sigma_j.
+
+    For any 2x2 B, B + sum_jk R[j, k] sigma_j B sigma_k = 2 tr(U^dagger B) U,
+    so U is that sum over the B of largest norm among I and i sigma_k,
+    scaled to unit determinant."""
+    sums = [
+        b + np.einsum("jk,jab,bc,kcd->ad", rotation, PAULIS, b, PAULIS)
+        for b in (IDENTITY_2, 1j * PAULI_X, 1j * PAULI_Y, 1j * PAULI_Z)
+    ]
+    m = max(sums, key=np.linalg.norm)
+    return m / np.sqrt(np.linalg.det(m))
+
+
+def frame_eigenvector(rot):
+    """psi = V^dagger |GHZ> for V = (x)_p V_p, V_p the SU(2) of rot[p]."""
+    ghz = np.zeros(2 ** len(rot), dtype=np.complex128)
+    ghz[0] = ghz[-1] = 1.0 / math.sqrt(2.0)
+    v_dagger = functools.reduce(np.kron, [su2_of(r).conj().T for r in rot])
+    return v_dagger @ ghz
+
+
+def frame_environments(rot):
+    """Environments on the eigenvector of the frame rot: GHZ environments
+    at the rotated settings, turned back.  The caller moves party p after
+    its environment, so each moved party is rotated just before the next
+    environment reads it."""
+    ghz = _structured_environments(NoisyGhz(len(rot)))
+
+    def environments(bloch):
+        rotated = bloch @ rot.swapaxes(1, 2)
+        inner = ghz(rotated)
+        for p in range(len(rot)):
+            if p:
+                rotated[p - 1] = bloch[p - 1] @ rot[p - 1].T
+            yield next(inner) @ rot[p]
+
+    return environments
 
 
 def see_saw_states(data, n):
     """(environments, dense matrix) for GHZ, noisy GHZ, mixed, a random
-    product state, a random density matrix and the top eigenvector of the
-    Svetlichny operator at random settings."""
+    product state, a random density matrix and the closed-form top
+    eigenvector of the Svetlichny operator at random settings."""
     states = [
         NoisyGhz(n),
         NoisyGhz(n, data.draw(st.floats(0.0, 1.0))),
@@ -303,9 +342,33 @@ def see_saw_states(data, n):
         data.draw(density_matrices(n)),
     ]
     out = [(environments_of(s), s if isinstance(s, np.ndarray) else s.matrix()) for s in states]
-    psi = top_eigenvector(data.draw(settings_tables(n)))
-    out.append((_vector_environments(psi), np.outer(psi, psi.conj())))
+    _, rot = _ghz_frame(data.draw(settings_tables(n)).bloch)
+    psi = frame_eigenvector(rot)
+    out.append((frame_environments(rot), np.outer(psi, psi.conj())))
     return out
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
+@bounded(6)
+@given(data=st.data())
+def test_closed_form_spectrum_equals_dense_eigenpair(n, data):
+    table = data.draw(settings_tables(n))
+    value, rot = _ghz_frame(table.bloch)
+    operator = svetlichny_operator(table).matrix
+    assert abs(value - max_eigenvalue(operator)) <= ORACLE_CHECK_TOL
+    psi = frame_eigenvector(rot)
+    # The operator is exactly zero at some tables (N = 5 with every pair
+    # antiparallel), where only the rounding of a zero matrix is left.
+    assert np.linalg.norm(operator @ psi - value * psi) <= 1e-12 * max(value, 1.0)
+
+
+@pytest.mark.parametrize("n", range(9, 17))
+@bounded(3)
+@given(first_phase=st.floats(0.0, 2.0 * math.pi))
+def test_closed_form_reaches_the_quantum_maximum_above_the_cap(n, first_phase):
+    # Orthogonal directions at every party, above the eigensolver cap.
+    value, _ = _ghz_frame(planar_settings(n, first_phase).bloch)
+    assert abs(value - 2.0 ** (n - 1) * math.sqrt(2.0)) <= ORACLE_CHECK_TOL
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])

@@ -42,13 +42,13 @@ from .witness import (  # noqa: F401
 )
 from .classical import (  # noqa: F401
     BoundResult,
-    CapExceededError,
     DeterministicStrategy,
     HybridStrategy,
     hybrid_bound,
     lhv_bound,
     noncontextual_bound,
 )
+from .opalg import CapExceededError  # noqa: F401
 from .optimize import (  # noqa: F401
     Lcg64,
     OptimizationConfig,

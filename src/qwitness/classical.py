@@ -59,7 +59,9 @@ How the maxima are found:
   tie-break gives (f_a, f_b).  Every other pattern loops over all
   2^(N-1) - 1 bipartitions.  On both paths ``evaluations`` counts the
   2^(2^|A|) * 2^(2^|B|) response pairs of every bipartition, the space
-  the maximum ranges over.
+  the maximum ranges over.  It stays that nominal count, not the work
+  done: a Python int of 134 bits at N = 8.
+* Both bounds refuse N above opalg.MAX_PARTIES (8) before any work.
 """
 
 from __future__ import annotations
@@ -69,11 +71,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ineq import SignPattern, correlation_sum
-from .opalg import CapExceededError
+from .opalg import check_parties
 from .qobs import Grouping
-
-LHV_MAX_PARTIES = 8
-HYBRID_MAX_PARTIES = 5
 
 
 @dataclass(frozen=True)
@@ -162,15 +161,6 @@ def evaluate_strategy(pattern: SignPattern, strategy: DeterministicStrategy) -> 
     return -total if neg0.bit_count() & 1 else total
 
 
-def check_lhv_parties(n_parties: int) -> None:
-    """Refuse a local bound above the party cap before any work."""
-    if n_parties > LHV_MAX_PARTIES:
-        raise CapExceededError(
-            f"the local bound is capped at N = {LHV_MAX_PARTIES} "
-            f"(4^N strategies); hybrid_bound is capped at N = {HYBRID_MAX_PARTIES}"
-        )
-
-
 def _two_term_form(pattern: SignPattern) -> tuple[int, int, int] | None:
     """(a, b, neg) with coeffs[w] = Re[(a + ib) i^popcount(w) (-1)^popcount(w & neg)],
     or None if the pattern is not in the two-term family.
@@ -242,18 +232,11 @@ def lhv_bound(pattern: SignPattern) -> BoundResult:
     """Maximum over all 4^N deterministic local strategies: in closed form
     on the two-term family, by enumeration otherwise."""
     n = pattern.n_parties
-    check_lhv_parties(n)
+    check_parties(n)
     form = _two_term_form(pattern)
     if form is None:
         return _lhv_result(pattern, *_enumerated_argmax(pattern))
     return _lhv_result(pattern, *_factored_argmax(n, *form))
-
-
-def _group_word(word: int, members: tuple[int, ...], n: int) -> int:
-    u = 0
-    for p in members:
-        u = (u << 1) | ((word >> (n - 1 - p)) & 1)
-    return u
 
 
 def _response_matrix(m: int) -> np.ndarray:
@@ -300,14 +283,21 @@ def _hybrid_mask_best(tensor: np.ndarray, n: int, mask: int) -> tuple[int, int, 
 
 
 def evaluate_hybrid(pattern: SignPattern, strategy: HybridStrategy) -> int:
-    """Polynomial value of a hybrid strategy, in pure integers."""
-    n = pattern.n_parties
-    total = 0
-    for word, coeff in enumerate(pattern.coeffs):
-        ua = _group_word(word, strategy.grouping.group_a, n)
-        ub = _group_word(word, strategy.grouping.group_b, n)
-        total += coeff * strategy.response_a[ua] * strategy.response_b[ub]
-    return total
+    """Polynomial value of a hybrid strategy, in pure integers.
+
+    Every word's two group words are built party by party in binary
+    counting order: a member of a group doubles that group's word and adds
+    its bit, so the first member ends most significant.
+    """
+    group_a = strategy.grouping.group_a
+    words = [(0, 0)]
+    for p in range(pattern.n_parties):
+        if p in group_a:
+            words = [w for ua, ub in words for w in ((2 * ua, ub), (2 * ua + 1, ub))]
+        else:
+            words = [w for ua, ub in words for w in ((ua, 2 * ub), (ua, 2 * ub + 1))]
+    ra, rb = strategy.response_a, strategy.response_b
+    return sum(c * ra[ua] * rb[ub] for c, (ua, ub) in zip(pattern.coeffs, words))
 
 
 def _enumerated_hybrid(pattern: SignPattern) -> tuple[int, int, int, int]:
@@ -352,11 +342,7 @@ def hybrid_bound(pattern: SignPattern) -> BoundResult:
     only classical correlation crosses the split.
     """
     n = pattern.n_parties
-    if n > HYBRID_MAX_PARTIES:
-        raise CapExceededError(
-            f"hybrid enumeration is capped at N = {HYBRID_MAX_PARTIES} "
-            f"(2^(2^m) response functions per group)"
-        )
+    check_parties(n)
     if _two_term_form(pattern) is None:
         return _hybrid_result(pattern, *_enumerated_hybrid(pattern))
     tensor = np.asarray(pattern.coeffs, dtype=np.int64).reshape((2,) * n)

@@ -23,14 +23,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import __version__
-from .classical import (
-    HYBRID_MAX_PARTIES,
-    CapExceededError,
-    check_lhv_parties,
-    hybrid_bound,
-    lhv_bound,
-    noncontextual_bound,
-)
+from .classical import hybrid_bound, lhv_bound, noncontextual_bound
 from .ineq import (
     CYCLE_PAIRS,
     PSD_TOL,
@@ -42,7 +35,8 @@ from .ineq import (
     svetlichny_pattern,
 )
 from .opalg import (
-    check_eig_parties,
+    CapExceededError,
+    check_parties,
     commutator,
     frob_norm,
     hermitian_eigenvalues,
@@ -77,27 +71,11 @@ class ConfigError(ValueError):
     """Invalid or incomplete run configuration."""
 
 
-def _json_default(x):
-    """The JSON form of the numpy values a report may hold.  np.float64 is a
-    float subclass, so json writes it as a float and it never comes here."""
-    if isinstance(x, np.ndarray):
-        return x.tolist()
-    if isinstance(x, np.bool_):
-        return bool(x)
-    if isinstance(x, np.integer):
-        return int(x)
-    if isinstance(x, np.floating):
-        return float(x)
-    raise TypeError(f"cannot serialize {type(x)!r}")
-
-
 def canonical_json(payload) -> str:
     """Canonical serialization: sorted keys, two-space indent, floats in
-    shortest round-trip form (at most 17 significant digits)."""
-    return (
-        json.dumps(payload, default=_json_default, sort_keys=True, indent=2, ensure_ascii=False)
-        + "\n"
-    )
+    shortest round-trip form (at most 17 significant digits).  Reports hold
+    only builtins and np.float64, a float subclass that json writes itself."""
+    return json.dumps(payload, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
 
 
 def _inputs_digest(cfg: dict) -> str:
@@ -239,13 +217,9 @@ def cmd_bounds(cfg: dict) -> tuple[dict, int]:
         results["hybrid"] = hybrid_bound(pattern).to_json_dict()
     else:
         results["hybrid"] = None
-        if n <= HYBRID_MAX_PARTIES:
-            where = "call qwitness.classical.hybrid_bound directly if needed"
-        else:
-            where = f"qwitness.classical.hybrid_bound is capped at N = {HYBRID_MAX_PARTIES}"
         results["hybrid_notice"] = (
             f"hybrid enumeration skipped for N = {n}: the response-function "
-            f"space is large; {where}"
+            "space is large; call qwitness.classical.hybrid_bound directly if needed"
         )
     results["noncontextual"] = noncontextual_bound().to_json_dict()
     return results, EXIT_OK
@@ -351,20 +325,20 @@ def cmd_contextuality(cfg: dict) -> tuple[dict, int]:
 
 
 class _Command(NamedTuple):
-    """A subcommand: its handler, whose docstring is its help; the flags it reads; and
-    the party-count cap _merge_config applies with the N >= 2 floor (None: no N read)."""
+    """A subcommand: its handler, whose docstring is its help, and the flags it
+    reads.  _merge_config applies the N >= 2 floor and the party cap to every
+    command that reads --n."""
 
     run: Callable[[dict], tuple[dict, int]]
     flags: str
-    check_parties: Callable[[int], None] | None
 
 
 _COMMANDS = {
-    "verify": _Command(cmd_verify, "config n random seed corrupt-sign out", check_eig_parties),
-    "bounds": _Command(cmd_bounds, "config n out", check_lhv_parties),
-    "optimize": _Command(cmd_optimize, "config n seed out", check_eig_parties),
-    "witness": _Command(cmd_witness, "config n state optimize seed out", check_eig_parties),
-    "contextuality": _Command(cmd_contextuality, "config state out", None),
+    "verify": _Command(cmd_verify, "config n random seed corrupt-sign out"),
+    "bounds": _Command(cmd_bounds, "config n out"),
+    "optimize": _Command(cmd_optimize, "config n seed out"),
+    "witness": _Command(cmd_witness, "config n state optimize seed out"),
+    "contextuality": _Command(cmd_contextuality, "config state out"),
 }
 
 # Each flag's argparse keywords.  Its dest is the config key it overrides,
@@ -426,12 +400,12 @@ def _merge_config(args: argparse.Namespace) -> dict:
     cfg.update(flags)
     cfg.setdefault("n_parties", 3)
     cfg.setdefault("seed", 1)
-    command = _COMMANDS[cfg["command"]]
+    flags_read = _COMMANDS[cfg["command"]].flags.split()
     # The config keys of the command's integer flags: only the fields the
     # command reads are checked.
     integers = [
         _FLAGS[flag].get("dest", flag.replace("-", "_"))
-        for flag in command.flags.split()
+        for flag in flags_read
         if _FLAGS[flag].get("type") is int
     ]
     for key in integers:
@@ -440,10 +414,10 @@ def _merge_config(args: argparse.Namespace) -> dict:
             raise ConfigError(f"{key} must be an integer, got {cfg[key]!r}")
     if "random_trials" in integers and cfg.get("random_trials", 1) < 1:
         raise ConfigError(f"random_trials must be at least 1, got {cfg['random_trials']}")
-    if command.check_parties is not None:
+    if "n" in flags_read:
         if cfg["n_parties"] < 2:
             raise ConfigError(f"{cfg['command']} needs at least two parties")
-        command.check_parties(cfg["n_parties"])
+        check_parties(cfg["n_parties"])
     corrupt = cfg.get("corrupt_sign")
     # After the party cap, so 2^N stays small.
     if "corrupt_sign" in integers and corrupt is not None:

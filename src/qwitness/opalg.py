@@ -11,9 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Everything in this package lives on a handful of qubits; the eigenvalue
-# path refuses anything larger.
-MAX_EIG_DIM = 256
+# The party cap of every dense or exhaustive path: 2^N x 2^N eigensolves and
+# the 4^N local strategies of the classical bounds.
+MAX_PARTIES = 8
 
 # Hermiticity slack scales with dimension: roundoff from kron/product chains
 # grows roughly linearly in matrix size.
@@ -26,18 +26,13 @@ class CapExceededError(ValueError):
     """Problem too large for the exhaustive or dense path."""
 
 
-def check_eig_dim(dim: int) -> None:
-    """Refuse a matrix dimension above the eigensolver cap before any work."""
-    if dim > MAX_EIG_DIM:
-        raise CapExceededError(f"dimension {dim} exceeds eigensolver cap {MAX_EIG_DIM}")
-
-
-def check_eig_parties(n_parties: int) -> None:
-    """check_eig_dim for N qubits, dimension 2^N.  The party count is compared
-    first, so a huge N is never raised to a power or printed in full."""
-    if n_parties > MAX_EIG_DIM.bit_length() - 1:
+def check_parties(n_parties: int) -> None:
+    """Refuse N above MAX_PARTIES before any work.  N itself is compared, so a
+    huge N is never raised to a power."""
+    if n_parties > MAX_PARTIES:
         raise CapExceededError(
-            f"dimension 2^{n_parties} exceeds eigensolver cap {MAX_EIG_DIM}"
+            f"N = {n_parties} is capped at N = {MAX_PARTIES} "
+            "(2^N x 2^N eigensolves, 4^N local strategies)"
         )
 
 
@@ -105,7 +100,8 @@ def hermitian_eigenvalues(h: np.ndarray) -> EigenResult:
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {h.shape}")
     n = h.shape[0]
-    check_eig_dim(n)
+    if n > 2**MAX_PARTIES:
+        raise CapExceededError(f"dimension {n} exceeds eigensolver cap {2**MAX_PARTIES}")
     defect = hermiticity_defect(h)
     if defect > HERMITICITY_TOL * n:
         raise ValueError(f"matrix is not Hermitian: defect {defect:.3e}")

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ineq import InequalityOperator, state_sum, svetlichny_operator
-from .opalg import check_eig_parties, hermitian_eigenvalues
+from .opalg import check_parties, hermitian_eigenvalues
 from .qobs import (
     PAULI_TRACES,
     PAULIS,
@@ -352,7 +352,7 @@ def _validate_kind(n_parties: int, kind: str) -> None:
         raise ValueError("chsh optimization requires exactly two parties")
     if n_parties < 2:
         raise ValueError("optimization needs at least two parties")
-    check_eig_parties(n_parties)
+    check_parties(n_parties)
 
 
 def max_eigenvalue(op: InequalityOperator | np.ndarray) -> float:

@@ -222,6 +222,19 @@ def _group_word(word: int, members, n: int) -> int:
     return u
 
 
+def hybrid_value_words(pattern, strategy) -> int:
+    """Polynomial value of a hybrid strategy, one word at a time with each
+    group word read off bit by bit: the definitional oracle for
+    classical.evaluate_hybrid."""
+    n = pattern.n_parties
+    total = 0
+    for word, coeff in enumerate(pattern.coeffs):
+        ua = _group_word(word, strategy.grouping.group_a, n)
+        ub = _group_word(word, strategy.grouping.group_b, n)
+        total += coeff * strategy.response_a[ua] * strategy.response_b[ub]
+    return total
+
+
 def first_max_hybrid(pattern) -> BoundResult:
     """Walk bipartitions (ascending mask, party 0 in group A), then f_a, then
     f_b, and keep the first hybrid strategy reaching the maximum."""

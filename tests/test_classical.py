@@ -1,12 +1,20 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
 
-from conftest import enumerated_hybrid, enumerated_lhv, first_max_hybrid, first_max_lhv, relabelled
-from qwitness import classical
+from conftest import (
+    enumerated_hybrid,
+    enumerated_lhv,
+    first_max_hybrid,
+    first_max_lhv,
+    hybrid_value_words,
+    relabelled,
+)
+from qwitness import classical, optimize
 from qwitness.classical import (
-    CapExceededError,
+    HybridStrategy,
     _reply_indices,
     _two_term_form,
     evaluate_hybrid,
@@ -16,6 +24,8 @@ from qwitness.classical import (
     noncontextual_bound,
 )
 from qwitness.ineq import SignPattern, chsh_pattern, svetlichny_pattern
+from qwitness.opalg import MAX_PARTIES, CapExceededError
+from qwitness.qobs import Grouping, NoisyGhz
 
 
 def random_pattern(n, rng):
@@ -109,7 +119,7 @@ class TestHybridBound:
 
     def test_cap(self):
         with pytest.raises(CapExceededError, match="capped"):
-            hybrid_bound(svetlichny_pattern(6))
+            hybrid_bound(svetlichny_pattern(9))
 
     @pytest.mark.parametrize("columns", [1, 8, 63, 64, 128])
     def test_reply_indices_are_exact(self, columns):
@@ -213,6 +223,96 @@ class TestFirstMaximizer:
         res = lhv_bound(pattern)
         assert res.argmax_strategy.outcomes == ((1, 1), (1, 1))
         assert res == first_max_lhv(pattern)
+
+
+def random_relabelled(n, rng):
+    """The Svetlichny pattern under a random setting swap and outcome flips
+    at every party: a random member of the two-term family."""
+    return relabelled(svetlichny_pattern(n), [tuple(rng.random(3) < 0.5) for _ in range(n)])
+
+
+def nominal_hybrid_evaluations(n):
+    """The response pairs of every bipartition with party 0 in group A."""
+    return sum(
+        2 ** (2**ma) * 2 ** (2 ** (n - ma))
+        for ma in (mask.bit_count() for mask in range(1, 2**n - 1, 2))
+    )
+
+
+class TestHybridEvaluation:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
+    def test_matches_the_word_loop(self, n):
+        # Random patterns, bipartitions and responses, group A holding
+        # party 0 or not.
+        rng = np.random.default_rng(70 + n)
+        for _ in range(20):
+            pattern = random_pattern(n, rng)
+            mask = int(rng.integers(1, 2**n - 1))
+            group_a = tuple(p for p in range(n) if (mask >> p) & 1)
+            group_b = tuple(p for p in range(n) if not (mask >> p) & 1)
+            strategy = HybridStrategy(
+                Grouping(group_a, group_b),
+                tuple(int(r) for r in rng.choice([-1, 1], size=2 ** len(group_a))),
+                tuple(int(r) for r in rng.choice([-1, 1], size=2 ** len(group_b))),
+            )
+            assert evaluate_hybrid(pattern, strategy) == hybrid_value_words(pattern, strategy)
+
+
+class TestPartyCap:
+    """lhv_bound and hybrid_bound share opalg's party cap, N <= 8."""
+
+    @pytest.mark.parametrize("n", [6, 7])
+    def test_hybrid_family_matches_the_bipartition_loop(self, n):
+        rng = np.random.default_rng(80 + n)
+        for _ in range(3):
+            pattern = random_relabelled(n, rng)
+            assert hybrid_bound(pattern) == enumerated_hybrid(pattern)
+
+    def test_hybrid_family_matches_the_bipartition_loop_at_the_cap(self):
+        # The loop over every bipartition takes 1.5 s here; it is also
+        # hybrid_bound's path outside the family.
+        pattern = random_relabelled(MAX_PARTIES, np.random.default_rng(88))
+        assert _two_term_form(pattern) is not None
+        expected = enumerated_hybrid(pattern)
+        assert expected.evaluations == nominal_hybrid_evaluations(MAX_PARTIES)
+        assert hybrid_bound(pattern) == expected
+
+    @pytest.mark.parametrize("n", [6, 7])
+    def test_hybrid_outside_the_family_is_rechecked(self, n):
+        pattern = random_pattern(n, np.random.default_rng(90 + n))
+        assert _two_term_form(pattern) is None
+        result = hybrid_bound(pattern)
+        assert hybrid_value_words(pattern, result.argmax_strategy) == result.bound
+        assert result.evaluations == nominal_hybrid_evaluations(n)
+
+    @pytest.mark.parametrize("n", [6, 7, 8])
+    def test_evaluations_are_nominal(self, n):
+        family = svetlichny_pattern(n)
+        assert hybrid_bound(family).evaluations == nominal_hybrid_evaluations(n)
+        for pattern in (family, family.flipped(0)):
+            assert lhv_bound(pattern).evaluations == 4**n
+
+    @pytest.mark.parametrize("n", range(2, MAX_PARTIES + 1))
+    def test_svetlichny_bounds(self, n):
+        assert lhv_bound(svetlichny_pattern(n)).bound == 2 ** math.ceil(n / 2)
+        assert hybrid_bound(svetlichny_pattern(n)).bound == 2 ** (n - 1)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda n: lhv_bound(svetlichny_pattern(n)),
+            lambda n: hybrid_bound(svetlichny_pattern(n)),
+            lambda n: optimize.maximize_violation(n, "svetlichny"),
+            lambda n: optimize.maximize_expectation(n, "svetlichny", NoisyGhz(n)),
+        ],
+        ids=["lhv_bound", "hybrid_bound", "maximize_violation", "maximize_expectation"],
+    )
+    def test_one_message_above_the_cap(self, call):
+        with pytest.raises(CapExceededError) as info:
+            call(MAX_PARTIES + 1)
+        assert str(info.value) == (
+            "N = 9 is capped at N = 8 (2^N x 2^N eigensolves, 4^N local strategies)"
+        )
 
 
 class TestNoncontextualBound:

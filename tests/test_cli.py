@@ -10,7 +10,6 @@ import pytest
 from conftest import SQRT2, enumerated_lhv, planar_settings, random_settings
 
 from qwitness import cli, dense, ineq, opalg, qobs, witness
-from qwitness.classical import HYBRID_MAX_PARTIES
 from qwitness.ineq import svetlichny_pattern
 
 
@@ -138,16 +137,14 @@ class TestBounds:
         assert results["hybrid"] is None
         assert "skipped" in results["hybrid_notice"]
 
-    @pytest.mark.parametrize("n", [5, 6])
+    @pytest.mark.parametrize("n", [5, 6, 7, 8])
     def test_hybrid_notice_names_what_to_call(self, capsys, n):
         code, report, _ = run_cli(capsys, ["bounds", "--n", str(n)])
         assert code == 0
-        notice = report["results"]["hybrid_notice"]
-        if n <= HYBRID_MAX_PARTIES:
-            assert "call qwitness.classical.hybrid_bound directly" in notice
-        else:
-            assert "directly" not in notice
-            assert f"hybrid_bound is capped at N = {HYBRID_MAX_PARTIES}" in notice
+        assert report["results"]["hybrid_notice"] == (
+            f"hybrid enumeration skipped for N = {n}: the response-function space "
+            "is large; call qwitness.classical.hybrid_bound directly if needed"
+        )
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
     def test_lhv_block_is_the_enumeration(self, capsys, n):
@@ -161,7 +158,9 @@ class TestBounds:
         assert code == 4
         assert report is None
         assert err.count("\n") == 1
-        assert "capped at N = 8" in err and "hybrid_bound is capped at N = 5" in err
+        assert err == (
+            "qwitness: N = 9 is capped at N = 8 (2^N x 2^N eigensolves, 4^N local strategies)\n"
+        )
 
     @pytest.mark.parametrize("n", [23, 30, 1000000])
     def test_cap_checked_before_the_pattern_is_built(self, capsys, n):
@@ -458,21 +457,13 @@ class TestCanonicalJson:
         for payload in payloads:
             assert original(payload) == tree_walk_json(payload)
 
-    def test_numpy_values_match_the_tree_walk(self):
-        payload = {
-            "flag": np.bool_(True),
-            "count": np.int64(3),
-            "single": np.float32(0.1),
-            "double": np.float64(1.0) / 3.0,
-            "vector": np.arange(3),
-            "matrix": np.array([[0.1, np.inf], [-0.0, 2.5e-300]]),
-            "pair": (1, 2.5),
-            "nested": [{"b": None, "a": "x"}],
-        }
+    def test_float64_is_written_as_a_float(self):
+        # np.float64 subclasses float; it is the only numpy type a report holds.
+        payload = {"double": np.float64(1.0) / 3.0, "pair": (1, np.float64(2.5e-300))}
         assert cli.canonical_json(payload) == tree_walk_json(payload)
 
     def test_unknown_type_rejected(self):
-        with pytest.raises(TypeError, match="cannot serialize"):
+        with pytest.raises(TypeError, match="not JSON serializable"):
             cli.canonical_json({"x": object()})
 
 
@@ -502,7 +493,7 @@ class TestEigensolverCap:
         assert time.perf_counter() - started < 1.0
         assert code == 4
         assert report is None
-        assert "eigensolver cap" in err
+        assert "is capped at N = 8" in err
 
     def test_verify(self, capsys):
         self.exits_four_at_once(capsys, ["verify", "--n", "9", "--random", "1"])
@@ -525,6 +516,36 @@ class TestEigensolverCap:
     def test_huge_party_count(self, capsys, argv):
         # 2^N has over 300000 digits here; the cap compares N itself.
         self.exits_four_at_once(capsys, argv)
+
+
+class TestPartyCap:
+    """Every command that reads --n stops above opalg's one party cap with
+    its one message."""
+
+    @pytest.mark.parametrize("n", [9, 1000000])
+    @pytest.mark.parametrize(
+        "argv",
+        [["verify", "--random", "1"], ["bounds"], ["optimize"], ["witness", "--optimize"]],
+        ids=["verify", "bounds", "optimize", "witness"],
+    )
+    def test_one_line_at_once(self, capsys, argv, n):
+        started = time.perf_counter()
+        code, report, err = run_cli(capsys, [*argv, "--n", str(n)])
+        assert time.perf_counter() - started < 1.0
+        assert code == 4
+        assert report is None
+        assert err == (
+            f"qwitness: N = {n} is capped at N = {opalg.MAX_PARTIES} "
+            "(2^N x 2^N eigensolves, 4^N local strategies)\n"
+        )
+
+    @pytest.mark.parametrize("command", ["verify", "bounds", "optimize", "witness"])
+    def test_n_from_the_config_file(self, capsys, tmp_path, command):
+        cfg = write_config(tmp_path, {"n_parties": 9, "random_trials": 1, "optimize": True})
+        code, report, err = run_cli(capsys, [command, "--config", cfg])
+        assert code == 4
+        assert report is None
+        assert err.count("\n") == 1 and "N = 9 is capped at N = 8" in err
 
 
 class TestIntegerFields:

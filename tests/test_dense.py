@@ -1,5 +1,6 @@
-"""The dense oracle module: the program never imports it, and the package
-still exports every name that moved into it."""
+"""Source rules: the program never imports the dense oracle module, the
+package still exports every name that moved into it, and the party cap
+lives in opalg alone."""
 
 import ast
 from pathlib import Path
@@ -71,6 +72,57 @@ def test_import_check_catches_every_form(source):
 
 def test_import_check_ignores_other_modules():
     assert not imports_dense("from .ineq import operator_sum\nimport numpy as np\n")
+
+
+def cap_rule_breaks(source: str) -> list[str]:
+    """Each ``raise CapExceededError`` and each module-level ``MAX_*``
+    constant in a module's source."""
+    found = []
+    tree = ast.parse(source)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            name = exc.attr if isinstance(exc, ast.Attribute) else getattr(exc, "id", None)
+            if name == "CapExceededError":
+                found.append(f"raise CapExceededError (line {node.lineno})")
+    for node in tree.body:
+        targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+        for target in targets:
+            if isinstance(target, ast.Name) and target.id.startswith("MAX_"):
+                found.append(f"{target.id} (line {node.lineno})")
+    return found
+
+
+@pytest.mark.parametrize(
+    "path", sorted(Path(qwitness.__file__).parent.glob("*.py")), ids=lambda path: path.stem
+)
+def test_party_cap_lives_in_opalg(path):
+    breaks = cap_rule_breaks(path.read_text(encoding="utf-8"))
+    if path.stem == "opalg":
+        assert breaks
+    else:
+        assert breaks == []
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "raise CapExceededError('x')\n",
+        "def f():\n    raise opalg.CapExceededError\n",
+        "MAX_PARTIES = 8\n",
+        "MAX_DIM: int = 256\n",
+    ],
+)
+def test_cap_check_catches_every_form(source):
+    assert cap_rule_breaks(source)
+
+
+def test_cap_check_ignores_other_code():
+    assert not cap_rule_breaks(
+        "from .opalg import MAX_PARTIES, check_parties\n"
+        "raise ValueError('capped')\n"
+        "def f():\n    MAX_LOCAL = 3\n"
+    )
 
 
 @pytest.mark.parametrize("name", MOVED_EXPORTS)

@@ -9,7 +9,7 @@ bounds, and optimizes measurement settings to certify
 quantum violations.
 """
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .qobs import (  # noqa: F401
     BlochVector,

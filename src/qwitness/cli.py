@@ -2,9 +2,11 @@
 
 Subcommands: verify, bounds, optimize, witness, contextuality.  Scenarios
 come from an optional JSON config file; command-line flags override file
-fields.  Reports are canonical JSON (sorted keys, shortest round-trip float
-formatting), written to stdout and optionally to --out; diagnostics go to
-stderr only.
+fields.  Reports are canonical JSON, one compact line (sorted keys, shortest
+round-trip float formatting), written to stdout and optionally to --out;
+diagnostics go to stderr only.  verify and witness summarize the element
+residuals as element_max, worst_element and total, a fixed size at every N.
+inputs_digest hashes only the config fields the command reads.
 
 Exit codes: 0 all checks passed, 2 a check failed, 3 invalid config,
 4 enumeration cap exceeded.
@@ -72,15 +74,19 @@ class ConfigError(ValueError):
 
 
 def canonical_json(payload) -> str:
-    """Canonical serialization: sorted keys, two-space indent, floats in
-    shortest round-trip form (at most 17 significant digits).  Reports hold
-    only builtins and np.float64, a float subclass that json writes itself."""
-    return json.dumps(payload, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+    """Canonical serialization: one line, sorted keys, no spaces, floats in
+    shortest round-trip form (at most 17 significant digits).  With no indent
+    json takes its C encoder, which writes the same bytes as its pure-Python
+    one.  Reports hold only builtins and np.float64, a float subclass that
+    json writes itself."""
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"), ensure_ascii=False) + "\n"
 
 
 def _inputs_digest(cfg: dict) -> str:
-    reproducible = {k: v for k, v in cfg.items() if k != "output_path"}
-    return hashlib.sha256(canonical_json(reproducible).encode("utf-8")).hexdigest()
+    """sha256 of the command and the config fields its handler reads, so a
+    field it ignores does not change the digest."""
+    read = {k: cfg[k] for k in _COMMANDS[cfg["command"]].keys() if k in cfg}
+    return hashlib.sha256(canonical_json(read).encode("utf-8")).hexdigest()
 
 
 def _complex_matrix(data) -> np.ndarray:
@@ -180,10 +186,13 @@ def cmd_verify(cfg: dict) -> tuple[dict, int]:
     # roundoff that grows with the dimension.
     tol = EXACT_IDENTITY_TOL if n == 2 else ELEMENT_RESIDUAL_TOL * 2**n
     residuals: dict[str, float] = {}
+    # Each element's largest residual over the tables checked so far.
+    elements = None
     failed_identity = None
     try:
         for table in tables:
-            found = factored_identities(PartyFactors.from_settings(table), pattern).residuals
+            identities = factored_identities(PartyFactors.from_settings(table), pattern)
+            found = identities.residuals
             if n == 2:
                 # At N = 2 the total is the one CHSH element; the cycle
                 # identities are checked in its place.
@@ -191,6 +200,8 @@ def cmd_verify(cfg: dict) -> tuple[dict, int]:
                 found.update(noncontextual_identities(*cycle_from_settings(table))[3])
             for key, value in found.items():
                 residuals[key] = max(residuals.get(key, 0.0), value)
+            element = identities.element_residuals
+            elements = element if elements is None else np.maximum(elements, element)
     except (CertificationError, WitnessIdentityError) as exc:
         failed_identity = {"name": exc.identity, "detail": str(exc)}
 
@@ -199,6 +210,7 @@ def cmd_verify(cfg: dict) -> tuple[dict, int]:
         "n_parties": n,
         "trials": trials,
         "residuals": residuals,
+        "worst_element": None if elements is None else int(np.argmax(elements)),
         "thresholds": dict.fromkeys(residuals, tol),
         "passed": passed,
         "failed_identity": failed_identity,
@@ -325,20 +337,32 @@ def cmd_contextuality(cfg: dict) -> tuple[dict, int]:
 
 
 class _Command(NamedTuple):
-    """A subcommand: its handler, whose docstring is its help, and the flags it
-    reads.  _merge_config applies the N >= 2 floor and the party cap to every
-    command that reads --n."""
+    """A subcommand: its handler, whose docstring is its help, the flags it
+    reads and the config fields it reads that no flag sets.  _merge_config
+    applies the N >= 2 floor and the party cap to every command that reads
+    --n."""
 
     run: Callable[[dict], tuple[dict, int]]
     flags: str
+    fields: str = ""
+
+    def keys(self) -> list[str]:
+        """The config keys the handler reads, --config and --out aside: what
+        inputs_digest hashes, with the command name."""
+        flags = [f for f in self.flags.split() if f not in ("config", "out")]
+        return ["command", *map(_key, flags), *self.fields.split()]
 
 
 _COMMANDS = {
-    "verify": _Command(cmd_verify, "config n random seed corrupt-sign out"),
+    "verify": _Command(cmd_verify, "config n random seed corrupt-sign out", "settings"),
     "bounds": _Command(cmd_bounds, "config n out"),
-    "optimize": _Command(cmd_optimize, "config n seed out"),
-    "witness": _Command(cmd_witness, "config n state optimize seed out"),
-    "contextuality": _Command(cmd_contextuality, "config state out"),
+    "optimize": _Command(cmd_optimize, "config n seed out", "optimizer"),
+    "witness": _Command(
+        cmd_witness, "config n state optimize seed out", "product_blochs settings optimizer"
+    ),
+    "contextuality": _Command(
+        cmd_contextuality, "config state out", "product_blochs cycle settings state_matrix"
+    ),
 }
 
 # Each flag's argparse keywords.  Its dest is the config key it overrides,
@@ -357,6 +381,11 @@ _FLAGS = {
     ),
     "out": dict(dest="output_path", metavar="PATH", help="also write the report to this path"),
 }
+
+
+def _key(flag: str) -> str:
+    """The config key a flag overrides."""
+    return _FLAGS[flag].get("dest", flag.replace("-", "_"))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -403,11 +432,7 @@ def _merge_config(args: argparse.Namespace) -> dict:
     flags_read = _COMMANDS[cfg["command"]].flags.split()
     # The config keys of the command's integer flags: only the fields the
     # command reads are checked.
-    integers = [
-        _FLAGS[flag].get("dest", flag.replace("-", "_"))
-        for flag in flags_read
-        if _FLAGS[flag].get("type") is int
-    ]
+    integers = [_key(flag) for flag in flags_read if _FLAGS[flag].get("type") is int]
     for key in integers:
         # bool is an int subclass, so true/false would pass a plain check.
         if key in cfg and (isinstance(cfg[key], bool) or not isinstance(cfg[key], int)):

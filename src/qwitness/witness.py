@@ -93,6 +93,12 @@ def _prefix_products(values: np.ndarray) -> np.ndarray:
     return out
 
 
+def _kron_pairs(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """np.kron(left[k], right[k]) for each pair of 2 x 2 factors, stacked:
+    one broadcast product and a reshape, the same products bit for bit."""
+    return (left[:, :, None, :, None] * right[:, None, :, None, :]).reshape(-1, 4, 4)
+
+
 def _certify_positive(norms: np.ndarray) -> None:
     """dense.positivity_bounds for every element at once, from the (N, 2)
     factor norms; the first failing element is named, X before Y."""
@@ -115,11 +121,11 @@ class FactoredIdentities:
     ``squares`` the fixed parties' S_{p,s} = F_{p,s}^2 with shape
     (N-2, 2, 2, 2), ``m`` the 4 x 4 factor M that every element shares, and
     ``m_terms`` its two Kronecker terms, M = sum_k m_terms[0, k] (x)
-    m_terms[1, k].  ``residuals`` maps ``chsh_4e`` (N = 2) or
-    ``element_xi<k>`` per element, and ``total``, to the Frobenius norms of
-    the defects.  For the Svetlichny pattern ``differences`` holds the fixed
-    parties' S_{p,0} - S_{p,1}, of shape (N-2, 2, 2), whose Kronecker product
-    with M is R; for any other pattern it is None.
+    m_terms[1, k].  ``element_residuals`` holds every element's defect and
+    ``total`` the total witness's, as Frobenius norms.  For the Svetlichny
+    pattern ``differences`` holds the fixed parties' S_{p,0} - S_{p,1}, of
+    shape (N-2, 2, 2), whose Kronecker product with M is R; for any other
+    pattern it is None.
     """
 
     signs: np.ndarray
@@ -127,8 +133,22 @@ class FactoredIdentities:
     squares: np.ndarray
     m: np.ndarray
     m_terms: np.ndarray
-    residuals: dict[str, float]
+    element_residuals: np.ndarray
+    total: float
     differences: np.ndarray | None = None
+
+    @property
+    def worst_element(self) -> int:
+        """The first element whose residual is the largest."""
+        return int(np.argmax(self.element_residuals))
+
+    @property
+    def residuals(self) -> dict[str, float]:
+        """The report's summary, two keys at every N: ``chsh_4e``, the one
+        element's residual, at N = 2, else ``element_max``, the largest; and
+        ``total``."""
+        key = "chsh_4e" if len(self.element_residuals) == 1 else "element_max"
+        return {key: float(self.element_residuals.max()), "total": self.total}
 
     def defect_expectation(self, rho: np.ndarray) -> float:
         """tr(rho R) with R never built: one state_sum against the squares'
@@ -161,14 +181,12 @@ def factored_identities(
     (a0, a1), (b0, b1) = obs[n - 2 :]
     (sa0, sa1), (sb0, sb1) = squares[n - 2 :]
     m_terms = np.array([[sa0 - sa1, a0 @ a1 + a1 @ a0], [b0 @ b1 + b1 @ b0, sb0 - sb1]])
-    m = np.kron(*m_terms[:, 0]) + np.kron(*m_terms[:, 1])
+    kron_terms = _kron_pairs(*m_terms)
+    m = kron_terms[0] + kron_terms[1]
     m_norm = frob_norm(m)
     fixed = squares[: n - 2]
 
     element = _prefix_products(np.linalg.norm(fixed, axis=(-2, -1))) * m_norm
-    keys = ["chsh_4e"] if n == 2 else [f"element_xi{k}" for k in range(len(element))]
-    residuals = dict(zip(keys, element.tolist()))
-
     coeffs = (signs[:, 0] * signs[:, 1]).astype(np.float64)
     differences = None
     if pattern is None or pattern == svetlichny_pattern(n):
@@ -185,14 +203,14 @@ def factored_identities(
         flat = np.conj(fixed.reshape(n - 2, 2, 4)).swapaxes(-1, -2)
         gram_roots = np.conj(np.linalg.qr(flat, mode="r")).swapaxes(-1, -2)
         prefix_norm = float(np.linalg.norm(correlation_sum(coeffs, gram_roots)))
-    residuals["total"] = prefix_norm * m_norm
     return FactoredIdentities(
         signs=signs,
         coeffs=coeffs,
         squares=fixed,
         m=m,
         m_terms=m_terms,
-        residuals=residuals,
+        element_residuals=element,
+        total=prefix_norm * m_norm,
         differences=differences,
     )
 
@@ -207,6 +225,7 @@ class WitnessReport:
     svet_value: float
     negative: bool
     identity_residuals: dict[str, float]
+    worst_element: int
 
     def to_json_dict(self) -> dict:
         return {**vars(self), "identity_residuals": dict(self.identity_residuals)}
@@ -261,4 +280,5 @@ def evaluate_witness(
         svet_value=svet_value,
         negative=negative,
         identity_residuals=identities.residuals,
+        worst_element=identities.worst_element,
     )

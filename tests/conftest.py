@@ -1,11 +1,12 @@
 """Shared test helpers: analytic optimal settings, random settings tables
 from numpy's Generator, random unitaries, random compatible 4-cycles,
-relabelled sign patterns, and small brute-force, kernel and see-saw
-oracles."""
+relabelled sign patterns, and small brute-force, kernel, see-saw and
+encoder oracles."""
 
 from __future__ import annotations
 
 import itertools
+import json
 import math
 
 import numpy as np
@@ -30,6 +31,13 @@ from qwitness.ineq import (
 from qwitness.qobs import PAULIS, BlochVector, Grouping, SettingsTable
 
 SQRT2 = math.sqrt(2.0)
+
+
+def pure_python_json(payload) -> str:
+    """cli.canonical_json's arguments through json's pure-Python encoder,
+    which JSONEncoder.iterencode takes unless called one-shot."""
+    encoder = json.JSONEncoder(sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+    return "".join(encoder.iterencode(payload)) + "\n"
 
 
 def planar_settings(n: int, first_phase: float = math.pi / 4) -> SettingsTable:

@@ -1,13 +1,17 @@
 import argparse
+import dataclasses
+import functools
 import gc
 import json
+import re
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import SQRT2, enumerated_lhv, planar_settings, random_settings
+from conftest import SQRT2, enumerated_lhv, planar_settings, pure_python_json, random_settings
 
 from qwitness import cli, dense, ineq, opalg, qobs, witness
 from qwitness.ineq import svetlichny_pattern
@@ -372,7 +376,7 @@ class TestReportContract:
             "results",
             "wall_time_ms",
         }
-        assert report["artifact_version"] == "0.1.0"
+        assert report["artifact_version"] == "0.2.0"
         assert len(report["inputs_digest"]) == 64
 
     def test_bad_config_file(self, capsys, tmp_path):
@@ -411,12 +415,12 @@ def tree_walk_json(payload) -> str:
             return [plain(v) for v in x.tolist()]
         raise TypeError(f"cannot serialize {type(x)!r}")
 
-    return json.dumps(plain(payload), sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+    return json.dumps(plain(payload), sort_keys=True, separators=(",", ":"), ensure_ascii=False) + "\n"
 
 
 class TestCanonicalJson:
     """canonical_json writes every payload byte for byte as the recursive
-    conversion it replaced."""
+    conversion it replaced, and as json's pure-Python encoder."""
 
     def test_every_command_matches_the_tree_walk(self, capsys, tmp_path, monkeypatch):
         payloads = []
@@ -456,6 +460,25 @@ class TestCanonicalJson:
         assert len(payloads) == 2 * len(argvs)
         for payload in payloads:
             assert original(payload) == tree_walk_json(payload)
+            assert original(payload) == pure_python_json(payload)
+
+    def test_edge_values_match_the_pure_python_encoder(self):
+        payload = {
+            "zürich": "ünïcødé ✓",
+            "floats": [float("inf"), -float("inf"), -0.0, 5e-324, 1e16, 0.1 + 0.2],
+            "float64": [np.float64(1.0) / 3.0, np.float64(-0.0), np.float64(1.7976931348623157e308)],
+            "nested": {"b": [True, False, None], "a": {"": 0, "-1": -(2**70)}},
+        }
+        text = cli.canonical_json(payload)
+        assert text == pure_python_json(payload)
+        assert text.count("\n") == 1 and text.endswith("\n")
+
+    def test_takes_the_c_encoder(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("pure-Python encoder reached")
+
+        monkeypatch.setattr(json.encoder, "_make_iterencode", refuse)
+        assert cli.canonical_json({"b": [1.5, None], "a": "x"}) == '{"a":"x","b":[1.5,null]}\n'
 
     def test_float64_is_written_as_a_float(self):
         # np.float64 subclasses float; it is the only numpy type a report holds.
@@ -465,6 +488,143 @@ class TestCanonicalJson:
     def test_unknown_type_rejected(self):
         with pytest.raises(TypeError, match="not JSON serializable"):
             cli.canonical_json({"x": object()})
+
+
+GOLDEN_REPORTS = Path(__file__).parent / "data" / "reports-0.1.0.json"
+# The 0.1.0 reports were recorded on one machine; BLAS kernels may differ in
+# the last bits on another, so floats are compared to this slack.
+GOLDEN_SLACK = 1e-12
+
+
+def summarized(report: dict) -> dict:
+    """A 0.1.0 report with its element_xi<k> residuals in the 0.2.0 summary:
+    element_max, their largest, and worst_element, its first index."""
+
+    def fold(residuals):
+        count = sum(k.startswith("element_xi") for k in residuals)
+        elements = [residuals[f"element_xi{k}"] for k in range(count)]
+        kept = {k: v for k, v in residuals.items() if not k.startswith("element_xi")}
+        if not elements:
+            return kept, 0 if residuals else None
+        return {**kept, "element_max": max(elements)}, elements.index(max(elements))
+
+    results = report["results"]
+    if report["command"] == "verify":
+        results["residuals"], results["worst_element"] = fold(results["residuals"])
+        results["thresholds"], _ = fold(results["thresholds"])
+    elif report["command"] == "witness":
+        inner = results["report"]
+        inner["identity_residuals"], inner["worst_element"] = fold(inner["identity_residuals"])
+    return report
+
+
+def assert_close(new, old, where="report"):
+    """Equal, floats to GOLDEN_SLACK relative (absolute below 1)."""
+    if isinstance(old, dict):
+        assert isinstance(new, dict) and set(new) == set(old), where
+        for key in old:
+            assert_close(new[key], old[key], f"{where}.{key}")
+    elif isinstance(old, list):
+        assert isinstance(new, list) and len(new) == len(old), where
+        for k, (a, b) in enumerate(zip(new, old)):
+            assert_close(a, b, f"{where}[{k}]")
+    elif isinstance(old, float):
+        assert isinstance(new, float), where
+        assert abs(new - old) <= GOLDEN_SLACK * max(1.0, abs(old)), (where, new, old)
+    else:
+        assert type(new) is type(old) and new == old, (where, new, old)
+
+
+class TestReportSummary:
+    """0.2.0 reports are the 0.1.0 ones with the element residuals summarized:
+    element_max, worst_element and total, at every N."""
+
+    @pytest.mark.parametrize(
+        "case",
+        json.loads(GOLDEN_REPORTS.read_text(encoding="utf-8")),
+        ids=lambda case: " ".join(case["argv"]) + (" --config" if case["config"] else ""),
+    )
+    def test_equals_the_0_1_0_report(self, capsys, tmp_path, case):
+        argv = list(case["argv"])
+        if case["config"] is not None:
+            argv += ["--config", write_config(tmp_path, case["config"])]
+        assert cli.main(argv) == case["code"]
+        out = capsys.readouterr().out
+        assert out.count("\n") == 1
+        report = json.loads(out)
+        assert report.pop("artifact_version") == "0.2.0"
+        assert len(report.pop("inputs_digest")) == 64
+        assert isinstance(report.pop("wall_time_ms"), int)
+        assert_close(report, summarized(case["report"]))
+
+    def test_residual_keys_do_not_grow_with_n(self, capsys, tmp_path):
+        rng = np.random.default_rng(61)
+        for n in range(3, 9):
+            code, report, _ = run_cli(
+                capsys, ["verify", "--n", str(n), "--random", "2", "--seed", str(n)]
+            )
+            assert code == 0
+            results = report["results"]
+            assert set(results["residuals"]) == set(results["thresholds"]) == {"element_max", "total"}
+            assert 0 <= results["worst_element"] < 2 ** (n - 2)
+            cfg = write_config(tmp_path, {"settings": random_settings(n, rng).to_json_dict()})
+            code, report, _ = run_cli(capsys, ["witness", "--n", str(n), "--config", cfg])
+            assert code == 0
+            witness_report = report["results"]["report"]
+            assert set(witness_report["identity_residuals"]) == {"element_max", "total"}
+            assert 0 <= witness_report["worst_element"] < 2 ** (n - 2)
+
+    def test_element_over_threshold_fails_and_is_named(self, capsys, monkeypatch):
+        original = cli.factored_identities
+        calls = []
+
+        def pushed(*args):
+            # The second of three tables gets element 5 over the threshold.
+            identities = original(*args)
+            calls.append(identities)
+            if len(calls) == 2:
+                element = identities.element_residuals.copy()
+                element[5] = 1.0
+                identities = dataclasses.replace(identities, element_residuals=element)
+            return identities
+
+        monkeypatch.setattr(cli, "factored_identities", pushed)
+        code, report, _ = run_cli(capsys, ["verify", "--n", "5", "--random", "3", "--seed", "2"])
+        assert code == 2 and len(calls) == 3
+        results = report["results"]
+        assert results["passed"] is False and results["failed_identity"] is None
+        assert results["worst_element"] == 5
+        assert results["residuals"]["element_max"] == 1.0 > results["thresholds"]["element_max"]
+
+
+class TestInputsDigest:
+    """inputs_digest hashes the command and the config fields it reads."""
+
+    @staticmethod
+    def digest(capsys, tmp_path, argv, config=None):
+        if config is not None:
+            argv = [*argv, "--config", write_config(tmp_path, config)]
+        code, report, _ = run_cli(capsys, argv)
+        assert code == 0
+        return report["inputs_digest"]
+
+    def test_unread_fields_leave_it(self, capsys, tmp_path):
+        digest = functools.partial(self.digest, capsys, tmp_path)
+        assert digest(["contextuality"], {"n_parties": "x"}) == digest(["contextuality"], {})
+        assert digest(["contextuality"], {"seed": 4}) == digest(["contextuality"])
+        assert digest(["bounds", "--n", "3"], {"seed": 5, "state": "mixed"}) == digest(
+            ["bounds", "--n", "3"]
+        )
+        out = str(tmp_path / "report.json")
+        assert digest(["bounds", "--n", "3", "--out", out]) == digest(["bounds", "--n", "3"])
+
+    def test_read_fields_and_defaults_set_it(self, capsys, tmp_path):
+        digest = functools.partial(self.digest, capsys, tmp_path)
+        verify = ["verify", "--n", "3", "--random", "2"]
+        assert digest(verify, {"seed": 1}) == digest(verify)
+        assert digest(verify, {"seed": 2}) != digest(verify)
+        assert digest(["bounds", "--n", "4"]) != digest(["bounds", "--n", "3"])
+        assert digest(["contextuality", "--state", "ghz"]) != digest(["contextuality"])
 
 
 class TestSettingsPartySize:
@@ -679,7 +839,7 @@ class TestParserReuse:
     def stdout_without_timing(capsys, argv):
         cli.main(argv)
         out = capsys.readouterr().out
-        return [line for line in out.splitlines() if '"wall_time_ms"' not in line]
+        return re.sub(r'"wall_time_ms":\d+', "", out)
 
     def test_repeated_calls_print_identical_reports(self, capsys):
         assert cli._parser() is cli._parser()
@@ -785,6 +945,14 @@ class TestFactoredPath:
         monkeypatch.setattr(dense, "witness_pair", refuse)
         for module in (opalg, ineq, dense):
             monkeypatch.setattr(module, "anticommutator", refuse)
+        original = witness.factored_identities
+        identities = []
+
+        def recording(*args):
+            identities.append(original(*args))
+            return identities[-1]
+
+        monkeypatch.setattr(witness, "factored_identities", recording)
         code, report, _ = run_cli(capsys, ["verify", "--n", "7", "--random", "2"])
         assert code == 0 and report["results"]["passed"]
         table = random_settings(7, np.random.default_rng(8))
@@ -793,10 +961,8 @@ class TestFactoredPath:
             capsys, ["witness", "--n", "7", "--state", "noisy-ghz:0.8", "--config", cfg]
         )
         assert code == 0
-        assert set(report["results"]["report"]["identity_residuals"]) == {
-            *(f"element_xi{k}" for k in range(32)),
-            "total",
-        }
+        assert len(identities[-1].element_residuals) == 32
+        assert set(report["results"]["report"]["identity_residuals"]) == {"element_max", "total"}
 
     def test_witness_builds_no_dense_operator(self, capsys, tmp_path, monkeypatch):
         def refuse(*args, **kwargs):

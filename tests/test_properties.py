@@ -40,6 +40,7 @@ from conftest import (
     first_max_lhv,
     pauli_correlation_tensor,
     planar_settings,
+    pure_python_json,
     relabelled,
     strategy_value_words,
 )
@@ -489,11 +490,14 @@ def test_verify_and_evaluate_witness_share_residuals(n, data):
     results, code = cli.cmd_verify(cfg)
     assert code == 0
     report = evaluate_witness(table, maximally_mixed(n))
-    keys = {"chsh_4e"} if n == 2 else {f"element_xi{k}" for k in range(2 ** (n - 2))}
+    elements = factored_identities(PartyFactors.from_settings(table)).element_residuals
+    assert len(elements) == 2 ** (n - 2)
+    keys = {"chsh_4e"} if n == 2 else {"element_max"}
     assert keys <= set(results["residuals"])
     assert {k: results["residuals"][k] for k in keys} == {
         k: report.identity_residuals[k] for k in keys
     }
+    assert results["worst_element"] == report.worst_element
 
 
 def test_scaled_factor_rejected_naming_x():
@@ -571,9 +575,9 @@ def test_factored_identities_equal_dense_anticommutators(n, perturbed, data):
 
     dim = 2**n
     residuals, defect = dense_witness_defects(table, pattern, factors)
-    keys = ["chsh_4e"] if n == 2 else [f"element_xi{k}" for k in range(len(residuals))]
-    for key, dense in zip(keys, residuals):
-        assert agrees(identities.residuals[key], dense, dim)
+    assert len(identities.element_residuals) == len(residuals)
+    for value, dense in zip(identities.element_residuals, residuals):
+        assert agrees(value, dense, dim)
     assert agrees(identities.residuals["total"], float(np.linalg.norm(defect)), dim)
 
     rho = data.draw(density_matrices(n))
@@ -948,3 +952,24 @@ def test_cli_ends_in_a_named_exit_code(command, data, tmp_path_factory):
     if code in (3, 4):
         assert out.getvalue() == ""
         assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n")
+
+
+json_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(allow_nan=False),
+    st.floats(allow_nan=False).map(np.float64),
+    st.text(),
+)
+json_payloads = st.recursive(
+    json_scalars,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=20,
+)
+
+
+@bounded(100)
+@given(payload=json_payloads)
+def test_canonical_json_is_the_pure_python_encoding(payload):
+    assert cli.canonical_json(payload) == pure_python_json(payload)

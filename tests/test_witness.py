@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -31,7 +32,12 @@ from qwitness.qobs import (
     maximally_mixed,
     product_state,
 )
-from qwitness.witness import FactoredIdentities, evaluate_witness, factored_identities
+from qwitness.witness import (
+    FactoredIdentities,
+    _kron_pairs,
+    evaluate_witness,
+    factored_identities,
+)
 
 
 class TestWitnessPair:
@@ -177,8 +183,11 @@ class TestEvaluateWitness:
 
     def test_residual_keys(self):
         rng = np.random.default_rng(54)
-        report3 = evaluate_witness(random_settings(3, rng), maximally_mixed(3))
-        assert set(report3.identity_residuals) == {"element_xi0", "element_xi1", "total"}
+        table3 = random_settings(3, rng)
+        report3 = evaluate_witness(table3, maximally_mixed(3))
+        elements = factored_identities(PartyFactors.from_settings(table3)).element_residuals
+        assert len(elements) == 2
+        assert set(report3.identity_residuals) == {"element_max", "total"}
         report2 = evaluate_witness(random_settings(2, rng), maximally_mixed(2))
         assert set(report2.identity_residuals) == {"chsh_4e", "total"}
         assert all(v < 1e-12 for v in report2.identity_residuals.values())
@@ -251,7 +260,10 @@ class TestEvaluateWitness:
         data = report.to_json_dict()
         assert data["n_parties"] == 3
         assert data["negative"] is True
-        assert set(data["identity_residuals"]) == {"element_xi0", "element_xi1", "total"}
+        identities = factored_identities(PartyFactors.from_settings(planar_settings(3)))
+        assert len(identities.element_residuals) == 2
+        assert set(data["identity_residuals"]) == {"element_max", "total"}
+        assert data["worst_element"] == identities.worst_element
 
 
 def pauli_settings(n):
@@ -267,6 +279,36 @@ class TestFactoredIdentities:
             assert set(identities.residuals.values()) == {0.0}
             report = evaluate_witness(pauli_settings(n), ghz_state(n))
             assert set(report.identity_residuals.values()) == {0.0}
+
+    def test_summary_is_the_largest_element(self):
+        rng = np.random.default_rng(58)
+        for n in range(3, 9):
+            # Contracted factors, so every element's residual differs.
+            observables = PartyFactors.from_settings(random_settings(n, rng)).observables
+            factors = PartyFactors(observables * rng.uniform(0.9, 1.0, (n, 2, 1, 1)))
+            identities = factored_identities(factors)
+            elements = identities.element_residuals
+            assert len(elements) == 2 ** (n - 2)
+            assert identities.residuals == {"element_max": elements.max(), "total": identities.total}
+            assert identities.worst_element == int(np.argmax(elements))
+            report = evaluate_witness(random_settings(n, rng), NoisyGhz(n, 0.8))
+            assert set(report.identity_residuals) == {"element_max", "total"}
+            assert 0 <= report.worst_element < 2 ** (n - 2)
+
+    def test_worst_element_is_the_first_maximum(self):
+        table = random_settings(4, np.random.default_rng(59))
+        identities = factored_identities(PartyFactors.from_settings(table))
+        tied = dataclasses.replace(identities, element_residuals=np.array([1.0, 3.0, 3.0, 2.0]))
+        assert tied.worst_element == 1
+        assert tied.residuals["element_max"] == 3.0
+
+    def test_kron_pairs_equal_np_kron(self):
+        rng = np.random.default_rng(60)
+        left, right = rng.standard_normal((2, 5, 2, 2)) + 1j * rng.standard_normal((2, 5, 2, 2))
+        products = _kron_pairs(left, right)
+        assert products.shape == (5, 4, 4)
+        for k in range(5):
+            assert np.array_equal(products[k], np.kron(left[k], right[k]))
 
     def test_total_defect_is_the_dense_defect(self):
         rng = np.random.default_rng(55)

@@ -19,21 +19,17 @@ Strategy encodings (lexicographic order = ascending index):
 
 How the maxima are found:
 
-* lhv_bound first tests whether the pattern is in the two-term family
-  coeffs[w] = Re[kappa prod_p c_p(w_p)] with c_p in {+-1, +-i} and
-  c_p(1)/c_p(0) = +-i: the Svetlichny pattern (kappa = 1 - i, c_p = (1, i))
-  and every per-party setting swap or outcome flip of it.  The test is an
-  O(1) check that the first four words are CHSH-type, then one exact pass
-  over the words that stops at the first mismatch.  On the family a
-  strategy scores Re[kappa prod_p c_p(0) (o_p(0) + o_p(1) r_p)] with
-  r_p = c_p(1)/c_p(0), and the four digits of a party give sqrt(2) times
-  the four phases (1 + i) i^t, t in Z_4.  The value depends only on the
-  phase class J = sum_p t_p mod 4, and the last party alone reaches every
-  class, so the first maximizer is digit 0 for parties 0..N-2 and, for
-  the last party, the smallest digit reaching a maximal class.  This is
-  the phase argument behind the Svetlichny pattern's local maximum
-  2^ceil(N/2) (Werner & Wolf, PRA 64, 032112, 2001), computed in Gaussian
-  integers with no table of strategy values.
+* On the two-term family coeffs[w] = Re[kappa prod_p c_p(w_p)], whose form
+  lhv_bound reads from ineq.SignPattern.two_term, a strategy scores
+  Re[kappa prod_p c_p(0) (o_p(0) + o_p(1) r_p)] with r_p = c_p(1)/c_p(0),
+  and the four digits of a party give sqrt(2) times the four phases
+  (1 + i) i^t, t in Z_4.  The value depends only on the phase class
+  J = sum_p t_p mod 4, and the last party alone reaches every class, so
+  the first maximizer is digit 0 for parties 0..N-2 and, for the last
+  party, the smallest digit reaching a maximal class.  This is the phase
+  argument behind the Svetlichny pattern's local maximum 2^ceil(N/2)
+  (Werner & Wolf, PRA 64, 032112, 2001), computed in Gaussian integers
+  with no table of strategy values.
 * Every other pattern contracts the coefficient tensor with the 4 x 2
   digit -> outcome table of every party (ineq.correlation_sum).  That
   yields all 4^N strategy values in index order at O(N 4^N) cost, and
@@ -161,36 +157,6 @@ def evaluate_strategy(pattern: SignPattern, strategy: DeterministicStrategy) -> 
     return -total if neg0.bit_count() & 1 else total
 
 
-def _two_term_form(pattern: SignPattern) -> tuple[int, int, int] | None:
-    """(a, b, neg) with coeffs[w] = Re[(a + ib) i^popcount(w) (-1)^popcount(w & neg)],
-    or None if the pattern is not in the two-term family.
-
-    That is the family's form with every c_p(0) folded into kappa = a + ib
-    and r_p = c_p(1)/c_p(0) = +-i, the bit N-1-p of neg set where r_p = -i.
-    Conjugating kappa and every r_p leaves the pattern unchanged, so r_0 = i
-    is fixed; the words 0 and 2^(N-1-p) then read off a, b and neg, and the
-    remaining words are checked in order up to the first mismatch.
-    """
-    n, coeffs = pattern.n_parties, pattern.coeffs
-    # The first four words of a family pattern are (a', -s b', -t b', -st a')
-    # for some a', b', s, t = +-1, so their product is -1; every two-party
-    # pattern outside the family fails this.
-    if coeffs[0] * coeffs[1] * coeffs[2] * coeffs[3] != -1:
-        return None
-    a, b = coeffs[0], -coeffs[1 << (n - 1)]
-    neg = 0
-    for p in range(1, n):
-        bit = 1 << (n - 1 - p)
-        if coeffs[bit] == b:
-            neg |= bit
-    # Re[(a + ib) i^j] for j = 0..3.
-    real_parts = (a, -b, -a, b)
-    for w, c in enumerate(coeffs):
-        if c != real_parts[(w.bit_count() + 2 * (w & neg).bit_count()) & 3]:
-            return None
-    return a, b, neg
-
-
 def _factored_argmax(n: int, a: int, b: int, neg: int) -> tuple[int, int]:
     """(index, value) of the first maximizer of a two-term-family pattern.
 
@@ -233,10 +199,9 @@ def lhv_bound(pattern: SignPattern) -> BoundResult:
     on the two-term family, by enumeration otherwise."""
     n = pattern.n_parties
     check_parties(n)
-    form = _two_term_form(pattern)
-    if form is None:
+    if pattern.two_term is None:
         return _lhv_result(pattern, *_enumerated_argmax(pattern))
-    return _lhv_result(pattern, *_factored_argmax(n, *form))
+    return _lhv_result(pattern, *_factored_argmax(n, *pattern.two_term))
 
 
 def _response_matrix(m: int) -> np.ndarray:
@@ -343,7 +308,7 @@ def hybrid_bound(pattern: SignPattern) -> BoundResult:
     """
     n = pattern.n_parties
     check_parties(n)
-    if _two_term_form(pattern) is None:
+    if pattern.two_term is None:
         return _hybrid_result(pattern, *_enumerated_hybrid(pattern))
     tensor = np.asarray(pattern.coeffs, dtype=np.int64).reshape((2,) * n)
     value, fa, fb = _hybrid_mask_best(tensor, n, 1)

@@ -134,8 +134,6 @@ def _optimizer_cfg(cfg: dict) -> OptimizationConfig:
 def _build_state(cfg: dict, n_parties: int) -> tuple[NoisyGhz | ProductState, str]:
     """The configured state in structured form; matrix() gives it dense."""
     tag = cfg.get("state", "ghz")
-    if not isinstance(tag, str):
-        raise ConfigError(f"state must be a string tag, got {tag!r}")
     if tag == "ghz":
         return NoisyGhz(n_parties), "ghz"
     if tag == "mixed":
@@ -388,6 +386,16 @@ def _key(flag: str) -> str:
     return _FLAGS[flag].get("dest", flag.replace("-", "_"))
 
 
+def _flag_type(flag: str) -> type:
+    """The type of the value a flag sets: bool for a switch, else its
+    argparse type, str by default."""
+    spec = _FLAGS[flag]
+    return bool if spec.get("action") == "store_true" else spec.get("type", str)
+
+
+_TYPE_NAMES = {int: "an integer", bool: "a boolean", str: "a string"}
+
+
 class _Parser(argparse.ArgumentParser):
     """Usage errors raise ConfigError, so they exit 3 through main like any
     other invalid input; --help still exits 0."""
@@ -430,14 +438,13 @@ def _merge_config(args: argparse.Namespace) -> dict:
     cfg.setdefault("n_parties", 3)
     cfg.setdefault("seed", 1)
     flags_read = _COMMANDS[cfg["command"]].flags.split()
-    # The config keys of the command's integer flags: only the fields the
-    # command reads are checked.
-    integers = [_key(flag) for flag in flags_read if _FLAGS[flag].get("type") is int]
-    for key in integers:
-        # bool is an int subclass, so true/false would pass a plain check.
-        if key in cfg and (isinstance(cfg[key], bool) or not isinstance(cfg[key], int)):
-            raise ConfigError(f"{key} must be an integer, got {cfg[key]!r}")
-    if "random_trials" in integers and cfg.get("random_trials", 1) < 1:
+    # Only the fields the command reads are checked, each against the type
+    # its flag sets; type(), not isinstance, since bool is an int subclass.
+    keys = {_key(flag): _flag_type(flag) for flag in flags_read if flag != "config"}
+    for key, kind in keys.items():
+        if key in cfg and type(cfg[key]) is not kind:
+            raise ConfigError(f"{key} must be {_TYPE_NAMES[kind]}, got {cfg[key]!r}")
+    if "random_trials" in keys and cfg.get("random_trials", 1) < 1:
         raise ConfigError(f"random_trials must be at least 1, got {cfg['random_trials']}")
     if "n" in flags_read:
         if cfg["n_parties"] < 2:
@@ -445,7 +452,7 @@ def _merge_config(args: argparse.Namespace) -> dict:
         check_parties(cfg["n_parties"])
     corrupt = cfg.get("corrupt_sign")
     # After the party cap, so 2^N stays small.
-    if "corrupt_sign" in integers and corrupt is not None:
+    if "corrupt_sign" in keys and corrupt is not None:
         if not 0 <= corrupt < 2 ** cfg["n_parties"]:
             raise ConfigError(f"corrupt-sign index {corrupt} out of range")
     return cfg

@@ -1,8 +1,10 @@
 """Inequality operators.
 
 CHSH, the 4-cycle noncontextual expression, the N-qubit Svetlichny
-polynomial, and the certified sign vectors of its 2^(N-2) CHSH-type elements
-on an effective party pair (element_signs; the dense elements are in dense).
+polynomial, the two-term family of its relabellings (SignPattern.two_term,
+decided once per pattern and read by the classical bounds and the witness),
+and the certified sign vectors of its 2^(N-2) CHSH-type elements on an
+effective party pair (element_signs; the dense elements are in dense).
 
 Setting words are read with party 0 as the most significant bit, so word
 indices follow binary counting: for N = 3 the word 011 means party 0 uses
@@ -15,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -77,6 +79,40 @@ class SignPattern:
         if any(c not in (-1, 1) for c in coeffs):
             raise ValueError("coefficients must be +1 or -1")
         object.__setattr__(self, "coeffs", coeffs)
+
+    @cached_property
+    def two_term(self) -> tuple[int, int, int] | None:
+        """(a, b, neg) for a pattern of the two-term family, else None.
+
+        The family is coeffs[w] = Re[kappa prod_p c_p(w_p)] with c_p in
+        {+-1, +-i} and c_p(1)/c_p(0) = +-i: the Svetlichny pattern (kappa =
+        1 - i, c_p = (1, i)) and its per-party setting swaps and outcome
+        flips, whose operator is the Hermitian part of a Kronecker product
+        (Werner & Wolf, PRA 64, 032112, 2001).  With every c_p(0) folded into
+        kappa = a + ib and r_p = c_p(1)/c_p(0) = -i exactly where neg has bit
+        N-1-p, coeffs[w] = Re[(a + ib) i^popcount(w) (-1)^popcount(w & neg)].
+        Conjugating kappa and every r_p leaves the pattern unchanged, so r_0 = i
+        is fixed; words 0 and 2^(N-1-p) read off a, b and neg, and the rest are
+        checked in order up to the first mismatch.  Computed on first read.
+        """
+        n, coeffs = self.n_parties, self.coeffs
+        # The first four words of a family pattern are (a', -s b', -t b', -st a')
+        # for some a', b', s, t = +-1, so their product is -1; every two-party
+        # pattern outside the family fails this.
+        if coeffs[0] * coeffs[1] * coeffs[2] * coeffs[3] != -1:
+            return None
+        a, b = coeffs[0], -coeffs[1 << (n - 1)]
+        neg = 0
+        for p in range(1, n):
+            bit = 1 << (n - 1 - p)
+            if coeffs[bit] == b:
+                neg |= bit
+        # Re[(a + ib) i^j] for j = 0..3.
+        real_parts = (a, -b, -a, b)
+        for w, c in enumerate(coeffs):
+            if c != real_parts[(w.bit_count() + 2 * (w & neg).bit_count()) & 3]:
+                return None
+        return a, b, neg
 
     def flipped(self, index: int) -> "SignPattern":
         """Copy with one coefficient negated (fault-injection hook)."""
@@ -147,14 +183,17 @@ class PartyFactors:
         words = state_sum(rho, list(trace_table(self.observables))).reshape(-1)
         return real_trace(np.dot(coeffs, words))
 
-    def svetlichny_value(self, state) -> float:
-        """The Svetlichny sum's value on a structured state (qobs.NoisyGhz,
-        qobs.ProductState), from one Kronecker product.  The sign (-1)^floor(k/2) is sqrt(2) Re(e^{-i pi/4} i^k),
-        so the operator is the Hermitian part of (1 - i) (x)_p (F_p0 + i F_p1)
-        and its value is Re((1 - i) t) = Re t + Im t for
-        t = tr(rho (x)_p (F_p0 + i F_p1))."""
-        t = state.trace_product(self.observables[:, 0] + 1j * self.observables[:, 1])
-        return t.real + t.imag
+    def two_term_value(self, state, form: tuple[int, int, int]) -> float:
+        """Value on a structured state (qobs.NoisyGhz, qobs.ProductState) of
+        the family pattern whose SignPattern.two_term is ``form`` = (a, b,
+        neg): Re((a + ib) t) = a Re t - b Im t for the Kronecker product
+        t = tr(rho (x)_p (F_p0 + r_p F_p1)), r_p = -i where neg has bit N-1-p
+        and i otherwise."""
+        a, b, neg = form
+        n = len(self.observables)
+        r = np.array([-1j if (neg >> (n - 1 - p)) & 1 else 1j for p in range(n)])
+        t = state.trace_product(self.observables[:, 0] + r[:, None, None] * self.observables[:, 1])
+        return a * t.real - b * t.imag
 
 
 def correlation_sum(coeffs, factors) -> np.ndarray:
@@ -250,9 +289,7 @@ def svetlichny_operator(
     operator; classical and hybrid bound 2^(N-1).  Reduces to the CHSH
     operator for N = 2."""
     n = settings.n_parties
-    if pattern is None:
-        pattern = svetlichny_pattern(n)
-    matrix = _pattern_operator(settings, pattern)
+    matrix = _pattern_operator(settings, pattern or svetlichny_pattern(n))
     return InequalityOperator(matrix, float(2 ** (n - 1)), f"svetlichny-{n}")
 
 
@@ -351,8 +388,7 @@ def element_signs(pattern: SignPattern | None, n_parties: int) -> np.ndarray:
     Row u holds the coefficients of the words (u << 2) | (i << 1) | j in
     (i, j) binary counting order; each must have the form (a, b, b, -a).
     """
-    if pattern is None:
-        pattern = svetlichny_pattern(n_parties)
+    pattern = pattern or svetlichny_pattern(n_parties)
     if pattern.n_parties != n_parties:
         raise ValueError(
             f"pattern is for {pattern.n_parties} parties, settings for {n_parties}"

@@ -20,28 +20,26 @@ any factors, involutory or not,
 
 so an element's Frobenius residual is prod_p ||S_p||_F * ||M||_F, a 4 x 4
 computation.  Summed over the elements the total witness misses its target
-by R = (sum_u c_u (x)_p S_{p,u_p}) (x) M with c_u = a_u b_u.  For the
-Svetlichny pattern c_u = (-1)^popcount(u), so R = (x)_p (S_p0 - S_p1) (x) M
-is one Kronecker product and ||R||_F the product of its factors' norms; for
-any other pattern ||R||_F follows from the 2 x 2 Gram matrices of each
-party's two squares.  Involutory factors give S = I and M = 0, so the
-residuals are the exact residuals of the computed factors and are often
-exactly 0.0.
+by R = (sum_u c_u (x)_p S_{p,u_p}) (x) M with c_u = a_u b_u.  On a pattern
+of the two-term family (ineq.SignPattern.two_term) that element_signs
+accepts, c_u = c_0 (-1)^popcount(u), so R = c_0 (x)_p (S_p0 - S_p1) (x) M
+is one Kronecker product and ||R||_F the product of its factors' norms; on
+any other CHSH-type pattern ||R||_F follows from the 2 x 2 Gram matrices
+of each party's two squares.  Involutory factors give S = I and M = 0, so
+the residuals are the exact residuals of the computed factors and are
+often exactly 0.0.
 
 State values come from the same factors.  The witness value on rho is
-4(2^(N-1) - <I_svet>) + tr(rho R).  The Svetlichny sign (-1)^floor(k/2) is
-sqrt(2) Re(e^{-i pi/4} i^k), so the Svetlichny operator is the Hermitian
-part of (1 - i) (x)_p (F_p0 + i F_p1) (the Mermin-Ardehali-Belinskii-Klyshko
-product form) and both traces, R's as a sum of two, are traces of
-Kronecker products of 2x2 factors, which a state's trace_product evaluates
-in O(N) on the structured states qobs.NoisyGhz and qobs.ProductState, never
-made dense.  A density matrix, and any state under another sign pattern,
-takes the coefficient path: one state_sum of rho against per-party factor
-tables for each trace, whose imaginary part is checked.  No 2^N x 2^N
-operator is built on either path.  The dense construction these formulas
-are tested against (witness_pair, element_witness, total_witness,
-total_defect) is in dense, which no program module imports;
-svetlichny_operator with qobs.expectation checks the values.
+4(2^(N-1) - <I>) + tr(rho R), with I the pattern's operator.  On the family
+both traces, R's as a sum of two, are traces of Kronecker products of 2x2
+factors, which a state's trace_product evaluates in O(N) on the structured
+states qobs.NoisyGhz and qobs.ProductState, never made dense.  A density
+matrix, and any state under another pattern, takes the coefficient path:
+one state_sum of rho against per-party factor tables for each trace, whose
+imaginary part is checked.  No 2^N x 2^N operator is built on either path.
+The dense construction these formulas are tested against (witness_pair,
+element_witness, total_witness, total_defect) is in dense, which no program
+module imports; svetlichny_operator with qobs.expectation checks the values.
 """
 
 from __future__ import annotations
@@ -122,10 +120,8 @@ class FactoredIdentities:
     (N-2, 2, 2, 2), ``m`` the 4 x 4 factor M that every element shares, and
     ``m_terms`` its two Kronecker terms, M = sum_k m_terms[0, k] (x)
     m_terms[1, k].  ``element_residuals`` holds every element's defect and
-    ``total`` the total witness's, as Frobenius norms.  For the Svetlichny
-    pattern ``differences`` holds the fixed parties' S_{p,0} - S_{p,1}, of
-    shape (N-2, 2, 2), whose Kronecker product with M is R; for any other
-    pattern it is None.
+    ``total`` the total witness's, as Frobenius norms.  ``two_term`` is
+    the pattern's SignPattern.two_term form, None outside the family.
     """
 
     signs: np.ndarray
@@ -135,7 +131,7 @@ class FactoredIdentities:
     m_terms: np.ndarray
     element_residuals: np.ndarray
     total: float
-    differences: np.ndarray | None = None
+    two_term: tuple[int, int, int] | None = None
 
     @property
     def worst_element(self) -> int:
@@ -158,11 +154,14 @@ class FactoredIdentities:
         return real_trace(np.dot(self.coeffs, state_sum(rho, tables).reshape(-1)))
 
     def defect_trace(self, state) -> float:
-        """tr(rho R) for the Svetlichny pattern, as one trace_product of a
-        structured state (qobs.NoisyGhz, qobs.ProductState) with R's two
-        Kronecker terms stacked: the differences with each term of M."""
-        fixed = np.broadcast_to(self.differences[:, np.newaxis], (len(self.differences), 2, 2, 2))
-        return real_trace(state.trace_product(np.concatenate([fixed, self.m_terms])).sum())
+        """tr(rho R) on the family, as c_0 times one trace_product of a
+        structured state (qobs.NoisyGhz, qobs.ProductState) with c_0 R's two
+        Kronecker terms stacked: the fixed parties' S_p0 - S_p1 with each
+        term of M."""
+        differences = self.squares[:, 0] - self.squares[:, 1]
+        fixed = np.broadcast_to(differences[:, np.newaxis], (len(differences), 2, 2, 2))
+        trace = real_trace(state.trace_product(np.concatenate([fixed, self.m_terms])).sum())
+        return float(self.coeffs[0]) * trace
 
 
 def factored_identities(
@@ -188,12 +187,11 @@ def factored_identities(
 
     element = _prefix_products(np.linalg.norm(fixed, axis=(-2, -1))) * m_norm
     coeffs = (signs[:, 0] * signs[:, 1]).astype(np.float64)
-    differences = None
-    if pattern is None or pattern == svetlichny_pattern(n):
-        # Here c_u = (-1)^popcount(u), so R = (x)_p (S_p0 - S_p1) (x) M and
-        # its Frobenius norm is the product of the factors' norms.
-        differences = fixed[:, 0] - fixed[:, 1]
-        prefix_norm = float(np.prod(np.linalg.norm(differences, axis=(-2, -1))))
+    two_term = (pattern or svetlichny_pattern(n)).two_term
+    if two_term is not None:
+        # Here c_u = c_0 (-1)^popcount(u), so R = c_0 (x)_p (S_p0 - S_p1) (x)
+        # M and its Frobenius norm is the product of the factors' norms.
+        prefix_norm = float(np.prod(np.linalg.norm(fixed[:, 0] - fixed[:, 1], axis=(-2, -1))))
     else:
         # ||sum_u c_u (x)_p S_{p,u_p}||_F^2 = c^T ((x)_p G_p) c, with G_p the
         # Gram matrix of party p's two squares.  Writing G_p = L_p L_p^H
@@ -211,7 +209,7 @@ def factored_identities(
         m_terms=m_terms,
         element_residuals=element,
         total=prefix_norm * m_norm,
-        differences=differences,
+        two_term=two_term,
     )
 
 
@@ -239,15 +237,16 @@ def evaluate_witness(
     ``state`` is a density matrix or a structured state (qobs.NoisyGhz,
     qobs.ProductState).  The witness value is 4(2^(N-1) - <I_svet>) +
     tr(rho R), with R the factored identity defect.  On a structured state
-    under the Svetlichny pattern both traces are one trace_product each
-    (PartyFactors.svetlichny_value, FactoredIdentities.defect_trace), so the
-    state is never made dense.  A density matrix, or any other pattern,
-    takes the coefficient path (PartyFactors.expectation, FactoredIdentities.
-    defect_expectation) on rho, which rejects a trace with an imaginary
-    part.  No 2^N x 2^N operator is built on either path.  The
-    negativity flag fires iff the inequality expectation exceeds the
-    classical bound 2^(N-1) by more than NEGATIVITY_MARGIN, equivalently iff
-    the witness value drops below -4 * NEGATIVITY_MARGIN.
+    under a two-term family pattern (the default Svetlichny one among them)
+    both traces are one trace_product each (PartyFactors.two_term_value,
+    FactoredIdentities.defect_trace), so the state is never made dense.  A
+    density matrix, or another pattern, takes the coefficient path
+    (PartyFactors.expectation, FactoredIdentities.defect_expectation) on
+    rho, which rejects a trace with an imaginary part.  No 2^N x 2^N
+    operator is built on either path.  The negativity flag fires iff the
+    inequality expectation exceeds the classical bound 2^(N-1) by more than
+    NEGATIVITY_MARGIN, equivalently iff the witness value drops below
+    -4 * NEGATIVITY_MARGIN.
     """
     n = settings.n_parties
     dense = isinstance(state, np.ndarray)
@@ -260,8 +259,8 @@ def evaluate_witness(
     factors = PartyFactors.from_settings(settings)
     identities = factored_identities(factors, pattern)
     bound = float(2 ** (n - 1))
-    if identities.differences is not None and not dense:
-        svet_value = factors.svetlichny_value(state)
+    if identities.two_term is not None and not dense:
+        svet_value = factors.two_term_value(state, identities.two_term)
         defect = identities.defect_trace(state)
     else:
         rho = state if dense else state.matrix()

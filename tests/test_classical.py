@@ -16,7 +16,6 @@ from qwitness import classical, optimize
 from qwitness.classical import (
     HybridStrategy,
     _reply_indices,
-    _two_term_form,
     evaluate_hybrid,
     evaluate_strategy,
     hybrid_bound,
@@ -175,7 +174,7 @@ class TestFirstMaximizer:
         # One flipped sign leaves the two-term family, so the pattern goes
         # through the enumeration and still gives the first maximizer.
         pattern = svetlichny_pattern(n).flipped(2**n - 1)
-        assert _two_term_form(pattern) is None
+        assert pattern.two_term is None
         assert lhv_bound(pattern) == first_max_lhv(pattern)
         if n <= 4:
             assert hybrid_bound(pattern) == first_max_hybrid(pattern)
@@ -187,7 +186,7 @@ class TestFirstMaximizer:
         orbit = two_term_orbit(n)
         assert len(orbit) == 2 ** (n + 1)
         for pattern in orbit:
-            assert _two_term_form(pattern) is not None
+            assert pattern.two_term is not None
             assert lhv_bound(pattern) == enumerated_lhv(pattern)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -272,7 +271,7 @@ class TestPartyCap:
         # The loop over every bipartition takes 1.5 s here; it is also
         # hybrid_bound's path outside the family.
         pattern = random_relabelled(MAX_PARTIES, np.random.default_rng(88))
-        assert _two_term_form(pattern) is not None
+        assert pattern.two_term is not None
         expected = enumerated_hybrid(pattern)
         assert expected.evaluations == nominal_hybrid_evaluations(MAX_PARTIES)
         assert hybrid_bound(pattern) == expected
@@ -280,7 +279,7 @@ class TestPartyCap:
     @pytest.mark.parametrize("n", [6, 7])
     def test_hybrid_outside_the_family_is_rechecked(self, n):
         pattern = random_pattern(n, np.random.default_rng(90 + n))
-        assert _two_term_form(pattern) is None
+        assert pattern.two_term is None
         result = hybrid_bound(pattern)
         assert hybrid_value_words(pattern, result.argmax_strategy) == result.bound
         assert result.evaluations == nominal_hybrid_evaluations(n)

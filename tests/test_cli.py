@@ -3,7 +3,10 @@ import dataclasses
 import functools
 import gc
 import json
+import os
 import re
+import subprocess
+import sys
 import time
 import tracemalloc
 from pathlib import Path
@@ -789,6 +792,52 @@ class TestWronglyTypedFields:
         assert report is None
         assert err.count("\n") == 1
         assert err.startswith("qwitness: invalid config: ")
+
+
+class TestFlagFieldTypes:
+    """A config field a flag overrides must hold what the flag parses to."""
+
+    @pytest.mark.parametrize(
+        "payload, argv, message",
+        [
+            ({"output_path": True}, ["bounds", "--n", "2"], "output_path must be a string"),
+            ({"output_path": 2}, ["bounds", "--n", "2"], "output_path must be a string"),
+            ({"output_path": ["a"]}, ["bounds", "--n", "2"], "output_path must be a string"),
+            ({"optimize": "false"}, ["witness", "--n", "2"], "optimize must be a boolean"),
+        ],
+        ids=["output_path-true", "output_path-2", "output_path-list", "optimize-string"],
+    )
+    def test_exits_three_and_leaves_stdout_and_stderr_open(self, tmp_path, payload, argv, message):
+        # In a child process: before these checks, output_path true or 2
+        # reached open(1, "w") or open(2, "w"), which closes that descriptor.
+        cfg = write_config(tmp_path, payload)
+        script = (
+            "import os, sys\n"
+            "from qwitness import cli\n"
+            "code = cli.main(sys.argv[1:])\n"
+            "os.fstat(1)\n"
+            "os.fstat(2)\n"
+            "sys.exit(code)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        run = subprocess.run(
+            [sys.executable, "-c", script, *argv, "--config", cfg],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert run.returncode == 3
+        assert run.stdout == ""
+        assert run.stderr.count("\n") == 1
+        assert run.stderr.startswith(f"qwitness: invalid config: {message}, got ")
+
+    def test_config_output_path_and_optimize_are_read(self, capsys, tmp_path):
+        out = tmp_path / "report.json"
+        payload = {"output_path": str(out), "optimize": True}
+        cfg = write_config(tmp_path, {**payload, "optimizer": {"restarts": 1, "max_iters": 3}})
+        code, report, err = run_cli(capsys, ["witness", "--n", "2", "--config", cfg])
+        assert code == 0
+        assert err == ""
+        assert report["results"]["optimizer"] is not None
+        assert json.loads(out.read_text(encoding="utf-8")) == report
 
 
 def nan_settings():

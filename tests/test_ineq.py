@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from conftest import SQRT2, planar_settings, random_compatible_cycle, random_settings
 
+from qwitness import cli
 from qwitness.dense import chsh_element, correlation_operator, decompose_svetlichny, embed
 from qwitness.ineq import (
     CertificationError,
@@ -70,6 +72,46 @@ class TestSignPattern:
     def test_rejects_non_sign_entries(self):
         with pytest.raises(ValueError):
             SignPattern(2, (1, 2, 1, 1))
+
+
+def count_recognizer(monkeypatch):
+    """Every pattern SignPattern.two_term's recognizer runs on, in order."""
+    prop = SignPattern.__dict__["two_term"]
+    recognize, calls = prop.func, []
+
+    def counting(pattern):
+        calls.append(pattern)
+        return recognize(pattern)
+
+    monkeypatch.setattr(prop, "func", counting)
+    return calls
+
+
+class TestTwoTermForm:
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_svetlichny_form(self, n):
+        pattern = svetlichny_pattern(n)
+        assert pattern.two_term == (1, -1, 0)
+        data = json.loads(json.dumps(pattern.to_json_dict()))
+        assert SignPattern.from_json_dict(data).two_term == (1, -1, 0)
+
+    def test_recognizer_runs_once_per_pattern_on_first_read(self, monkeypatch):
+        calls = count_recognizer(monkeypatch)
+        pattern = SignPattern(4, svetlichny_pattern(4).coeffs)
+        flipped = pattern.flipped(5)
+        assert calls == []
+        assert pattern.two_term == pattern.two_term == (1, -1, 0)
+        assert flipped.two_term is None and flipped.two_term is None
+        assert [id(p) for p in calls] == [id(pattern), id(flipped)]
+
+    def test_bounds_command_recognizes_once_per_process(self, monkeypatch, capsys):
+        calls = count_recognizer(monkeypatch)
+        # A fresh cache, so the first call builds the pattern it reads.
+        svetlichny_pattern.cache_clear()
+        for _ in range(2):
+            assert cli.main(["bounds", "--n", "4"]) == 0
+        capsys.readouterr()
+        assert len(calls) == 1
 
 
 class TestChshOperator:

@@ -11,7 +11,9 @@ norm certificate for the witness pairs against dense eigenvalues, the
 factored identity residuals and state values against the dense
 anticommutators and expectations, the structured states' trace products
 (also on a test-only state known only by its product-sum form) and the
-Svetlichny Kronecker-product values against dense traces, the
+Kronecker-product values of the Svetlichny pattern and of the relabellings
+element_signs accepts (exactly those whose last two parties' two-term neg
+bits agree) against dense traces, the
 closed-form factor norms against the SVD, and the kernel itself against its
 np.tensordot oracle.  A last property fuzzes the CLI boundary: every argv
 and config file ends in a named exit code.  Example counts are bounded and
@@ -64,10 +66,12 @@ from qwitness.dense import (
 )
 from qwitness.ineq import (
     PSD_TOL,
+    CertificationError,
     PartyFactors,
     SignPattern,
     chsh_optimal_settings,
     correlation_sum,
+    element_signs,
     operator_sum,
     svetlichny_operator,
     svetlichny_pattern,
@@ -747,7 +751,49 @@ def test_kronecker_defect_equals_dense_defect(n, perturbed, data):
         rho = state.matrix()
         assert abs(identities.defect_trace(state) - expectation(defect, rho)) <= OPERATOR_TOL
         svet = expectation(inequality, rho)
-        assert abs(factors.svetlichny_value(state) - svet) <= TRACE_PRODUCT_TOL * bound
+        value = factors.two_term_value(state, svetlichny_pattern(n).two_term)
+        assert abs(value - svet) <= TRACE_PRODUCT_TOL * bound
+
+
+def last_two_neg_bits_agree(pattern):
+    """Whether the neg bits of parties N-2 and N-1 (bits 1 and 0) of the
+    pattern's two-term form agree."""
+    neg = pattern.two_term[2]
+    return (neg ^ (neg >> 1)) & 1 == 0
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
+@bounded(30)
+@given(data=st.data())
+def test_family_member_is_accepted_iff_last_two_neg_bits_agree(n, data):
+    pattern = data.draw(relabelled_patterns(n))
+    assert pattern.two_term is not None
+    if last_two_neg_bits_agree(pattern):
+        assert element_signs(pattern, n).shape == (2 ** (n - 2), 4)
+    else:
+        with pytest.raises(CertificationError):
+            element_signs(pattern, n)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
+@bounded(3)
+@given(data=st.data())
+def test_accepted_family_values_equal_dense_oracle(n, data):
+    # The Kronecker-product path on a relabelled Svetlichny pattern against
+    # the dense operator of that pattern and the dense defect.
+    pattern = data.draw(relabelled_patterns(n).filter(last_two_neg_bits_agree))
+    table = data.draw(settings_tables(n))
+    identities = factored_identities(PartyFactors.from_settings(table), pattern)
+    assert identities.two_term == pattern.two_term
+    defect = total_defect(identities)
+    assert agrees(identities.total, float(np.linalg.norm(defect)), 2**n)
+    operator = svetlichny_operator(table, pattern).matrix
+    bound = 2.0 ** (n - 1)
+    for state in structured_states(data, n):
+        rho = state.matrix()
+        report = evaluate_witness(table, state, pattern)
+        assert abs(report.svet_value - expectation(operator, rho)) <= TRACE_PRODUCT_TOL * bound
+        assert abs(identities.defect_trace(state) - expectation(defect, rho)) <= OPERATOR_TOL
 
 
 finite_entries = st.floats(-4.0, 4.0, allow_subnormal=False)

@@ -17,6 +17,7 @@ from qwitness.dense import (
 )
 from qwitness.ineq import (
     PartyFactors,
+    SignPattern,
     chsh_operator,
     svetlichny_operator,
     svetlichny_pattern,
@@ -216,7 +217,7 @@ class TestEvaluateWitness:
         def refuse(*args):
             raise AssertionError("Kronecker-product path taken")
 
-        monkeypatch.setattr(PartyFactors, "svetlichny_value", refuse)
+        monkeypatch.setattr(PartyFactors, "two_term_value", refuse)
         monkeypatch.setattr(FactoredIdentities, "defect_trace", refuse)
         report = evaluate_witness(planar_settings(3), ghz_state(3))
         assert abs(report.svet_value - 4.0 * SQRT2) < 1e-12
@@ -230,23 +231,26 @@ class TestEvaluateWitness:
         with pytest.raises(ValueError, match="imaginary part"):
             evaluate_witness(planar_settings(3), rho)
 
-    def test_relabelled_pattern_takes_the_coefficient_path(self, monkeypatch):
+    def test_relabelled_family_member_takes_the_kronecker_path(self, monkeypatch):
         def refuse(*args):
-            raise AssertionError("Kronecker-product path taken")
+            raise AssertionError("coefficient path taken")
 
-        monkeypatch.setattr(PartyFactors, "svetlichny_value", refuse)
-        monkeypatch.setattr(FactoredIdentities, "defect_trace", refuse)
+        monkeypatch.setattr(PartyFactors, "expectation", refuse)
+        monkeypatch.setattr(FactoredIdentities, "defect_expectation", refuse)
         rng = np.random.default_rng(58)
         for n in (3, 4, 5):
             # Party 0's settings swapped and its setting-1 outcome flipped.
             # Party 0 is a fixed party of every element, so the pattern
-            # stays CHSH-type, but its signs differ.
+            # stays CHSH-type and in the two-term family, but its signs
+            # differ.
             pattern = relabelled(
                 svetlichny_pattern(n), [(True, False, True)] + [(False, False, False)] * (n - 1)
             )
             assert pattern != svetlichny_pattern(n)
+            assert pattern.two_term is not None
             table = random_settings(n, rng)
-            assert factored_identities(PartyFactors.from_settings(table), pattern).differences is None
+            identities = factored_identities(PartyFactors.from_settings(table), pattern)
+            assert identities.two_term == pattern.two_term
             blochs = tuple(random_settings(n, rng).parties[p][0] for p in range(n))
             for state in (NoisyGhz(n, 0.8), ProductState(blochs)):
                 report = evaluate_witness(table, state, pattern)
@@ -254,6 +258,30 @@ class TestEvaluateWitness:
                 dense_svet = expectation(svetlichny_operator(table, pattern).matrix, rho)
                 assert abs(report.svet_value - dense_svet) < 1e-12
                 assert abs(report.value - expectation(total_witness(table, pattern), rho)) < 1e-12
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_chsh_type_pattern_outside_the_family_takes_the_coefficient_path(
+        self, monkeypatch, n
+    ):
+        def refuse(*args):
+            raise AssertionError("Kronecker-product path taken")
+
+        monkeypatch.setattr(PartyFactors, "two_term_value", refuse)
+        monkeypatch.setattr(FactoredIdentities, "defect_trace", refuse)
+        rng = np.random.default_rng(60 + n)
+        # One random (a_u, b_u) per element, laid out as (a, b, b, -a).
+        a, b = rng.choice((-1, 1), size=(2, 2 ** (n - 2)))
+        pattern = SignPattern(n, tuple(np.stack([a, b, b, -a], axis=1).ravel()))
+        assert pattern.two_term is None
+        table = random_settings(n, rng)
+        assert factored_identities(PartyFactors.from_settings(table), pattern).two_term is None
+        blochs = tuple(random_settings(n, rng).parties[p][0] for p in range(n))
+        for state in (NoisyGhz(n, 0.8), ProductState(blochs)):
+            report = evaluate_witness(table, state, pattern)
+            rho = state.matrix()
+            dense_svet = expectation(svetlichny_operator(table, pattern).matrix, rho)
+            assert abs(report.svet_value - dense_svet) < 1e-12
+            assert abs(report.value - expectation(total_witness(table, pattern), rho)) < 1e-12
 
     def test_report_json(self):
         report = evaluate_witness(planar_settings(3), ghz_state(3))
